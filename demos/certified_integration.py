@@ -28,7 +28,8 @@ for n in ns:
 slope = np.polyfit(np.log(ns), np.log(certs), 1)[0]
 print(f"\ncertificate slope: {slope:.4f}  (n^-3 expected)")
 
-# adaptive mode splits the worst subinterval until the sum is under target
+# adaptive mode bisects every subinterval whose bound exceeds its width's
+# share of the target, one level at a time
 res = integrate_certified(f, seg, target=1e-9)
 print(f"\nadaptive: n={res.n}, certificate={res.certificate:.3e}")
 widths = sorted(abs(p.right - p.left) for p in res.partition)

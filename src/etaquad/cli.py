@@ -116,7 +116,7 @@ def _report(command: str, config: dict, result: dict, passed: bool) -> dict:
 
 def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, ensure_ascii=False) + "\n"
+        text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
     else:
         buf = io.StringIO()
         if csv_rows is not None:

@@ -11,20 +11,21 @@ is attached:
     and charges w^4/192 * safety * max, with a 1.1 safety factor, making
     no shape assumption beyond the sampling.
 
-The certificate is the sum of local bounds.  Refinement either uses a
-fixed uniform n or adaptively bisects the worst subinterval until the
-certificate reaches a target.
+The certificate is the sum of local bounds.  A fixed uniform n accepts
+every subinterval at once; a target bisects level by level, accepting a
+subinterval once its bound is at most target * |w| / |h|, so the
+certificate is at most the target up to rounding.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import simpson
+from .expr import DomainError
 from .identity import PathSegment
 
 __all__ = [
@@ -65,19 +66,28 @@ class Subinterval:
         }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CertifiedResult:
-    """Composite value plus the certificate that bounds its error."""
+    """Composite value plus the certificate that bounds its error; the
+    partition is held as four read-only arrays in path order."""
 
     value: float
     certificate: float
     mode: str
-    partition: tuple[Subinterval, ...]
+    left: np.ndarray
+    right: np.ndarray
+    local_value: np.ndarray
+    local_bound: np.ndarray
     segment: PathSegment
 
     @property
     def n(self) -> int:
-        return len(self.partition)
+        return len(self.left)
+
+    @property
+    def partition(self) -> tuple[Subinterval, ...]:
+        columns = (self.left, self.right, self.local_value, self.local_bound)
+        return tuple(map(Subinterval, *(c.tolist() for c in columns)))
 
     def to_json(self) -> dict:
         return {
@@ -89,39 +99,28 @@ class CertifiedResult:
         }
 
 
-def _local_value(jl, jr, w: float) -> float:
-    return w * (jl.d0 + jr.d0) / 2.0 + w * w / 12.0 * (jl.d1 - jr.d1)
+def _jets(f, x: np.ndarray) -> np.ndarray:
+    """Rows d0, d1, d3 of the jet at each point: all the local rule reads."""
+    j = f.jet3(x)
+    return np.stack((j.d0, j.d1, j.d3))
 
 
-def _hyp_bound(jl, jr, w: float) -> float:
-    return abs(w) ** 4 / 384.0 * (abs(jl.d3) + abs(jr.d3))
-
-
-def _sup_bound(f, left: float, right: float, w: float) -> float:
-    xs = np.linspace(left, right, SUP_SAMPLES)
-    peak = float(np.max(np.abs(f.jet3(xs).d3)))
-    return abs(w) ** 4 / 192.0 * SUP_SAFETY * peak
-
-
-def _uniform(f, seg: PathSegment, n: int, mode: str) -> list[Subinterval]:
-    nodes = np.linspace(seg.b, seg.end, n + 1)
-    jets = f.jet3(nodes)
-    w = seg.h / n
-    values = w * (jets.d0[:-1] + jets.d0[1:]) / 2.0 + w * w / 12.0 * (
-        jets.d1[:-1] - jets.d1[1:]
-    )
+def _local(f, left, right, jets_left, jets_right, mode: str):
+    """Local values and error bounds of the subintervals [left, right]."""
+    w = right - left
+    values = w * (jets_left[0] + jets_right[0]) / 2.0
+    values += w * w / 12.0 * (jets_left[1] - jets_right[1])
     if mode == "hypothesis":
-        d3 = np.abs(jets.d3)
-        bounds_arr = abs(w) ** 4 / 384.0 * (d3[:-1] + d3[1:])
+        bounds = np.abs(w) ** 4 / 384.0 * (np.abs(jets_left[2]) + np.abs(jets_right[2]))
     else:
-        offsets = np.linspace(0.0, 1.0, SUP_SAMPLES)
-        grid = nodes[:-1, None] + w * offsets[None, :]
+        grid = left[:, None] + w[:, None] * np.linspace(0.0, 1.0, SUP_SAMPLES)
         peaks = np.max(np.abs(f.jet3(grid).d3), axis=1)
-        bounds_arr = abs(w) ** 4 / 192.0 * SUP_SAFETY * peaks
-    return [
-        Subinterval(float(nodes[i]), float(nodes[i + 1]), float(values[i]), float(bounds_arr[i]))
-        for i in range(n)
-    ]
+        bounds = np.abs(w) ** 4 / 192.0 * SUP_SAFETY * peaks
+    bad = ~(np.isfinite(values) & np.isfinite(bounds))
+    if bad.any():
+        raise DomainError(f"non-finite local value {values[bad][0]:.3e} or bound {bounds[bad][0]:.3e} "
+                          f"on subinterval [{left[bad][0]}, {right[bad][0]}]")
+    return values, bounds
 
 
 def integrate_certified(
@@ -135,63 +134,54 @@ def integrate_certified(
     """Integrate f over the segment with a per-subinterval certificate.
 
     Exactly one refinement policy applies: ``fixed_n`` partitions the
-    segment uniformly; otherwise ``target`` drives adaptive bisection of
-    the largest-bound subinterval (ties: nearest to b) until the
-    certificate is at or below the target or ``budget`` subintervals
-    exist, which raises BudgetError.
+    segment uniformly; otherwise ``target`` bisects level by level every
+    subinterval of width w whose bound exceeds ``target * |w| / |h|``,
+    and the halves reuse their parent's end jets.  BudgetError is raised
+    before a level would hold more than ``budget`` subintervals (accepted
+    plus twice the unaccepted); DomainError on a non-finite local value
+    or bound.  The partition is in path order, from b to b + h.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
     if (fixed_n is None) == (target is None):
         raise ValueError("give exactly one of fixed_n or target")
-
-    if fixed_n is not None:
-        if fixed_n < 1:
-            raise ValueError("fixed_n must be positive")
-        parts = _uniform(f, seg, fixed_n, mode)
-        return _finish(parts, mode, seg)
-
-    if not (target > 0.0 and math.isfinite(target)):
+    if fixed_n is not None and fixed_n < 1:
+        raise ValueError("fixed_n must be positive")
+    if target is not None and not (target > 0.0 and math.isfinite(target)):
         raise ValueError("target must be a positive finite bound")
 
-    def make(left: float, right: float, jl, jr):
-        w = right - left
-        value = _local_value(jl, jr, w)
-        if mode == "hypothesis":
-            bnd = _hyp_bound(jl, jr, w)
-        else:
-            bnd = _sup_bound(f, left, right, w)
-        # heap key: worst bound first, then position along the path
-        return (-bnd, abs(left - seg.b), left, right, jl, jr, value, bnd)
-
-    jb = f.jet3(seg.b)
-    je = f.jet3(seg.end)
-    heap = [make(seg.b, seg.end, jb, je)]
-    total = heap[0][7]
-    while total > target:
-        if len(heap) >= budget:
-            raise BudgetError(
-                f"certificate {total:.3e} still above target {target:.3e} "
-                f"with {len(heap)} subintervals"
-            )
-        neg_bnd, _, left, right, jl, jr, _, bnd = heapq.heappop(heap)
+    # A uniform partition is one level on which every subinterval is accepted.
+    share = math.inf if target is None else target / abs(seg.h)
+    nodes = np.linspace(seg.b, seg.end, (fixed_n or 1) + 1)
+    jets = _jets(f, nodes)
+    left, right, jl, jr = nodes[:-1], nodes[1:], jets[:, :-1], jets[:, 1:]
+    parts = []
+    while True:
+        values, bounds = _local(f, left, right, jl, jr, mode)
+        ok = bounds <= share * np.abs(right - left)
+        parts.append((left[ok], right[ok], values[ok], bounds[ok]))
+        split = ~ok
+        n_split = int(np.count_nonzero(split))
+        if not n_split:
+            break
+        accepted = sum(p[0].size for p in parts)
+        if accepted + 2 * n_split > budget:
+            worst = np.argmax(np.where(split, bounds, -np.inf))
+            raise BudgetError(f"target {target:.3e} not reached with {accepted + n_split} "
+                              f"subintervals (budget {budget}); worst [{float(left[worst])!r}, "
+                              f"{float(right[worst])!r}] has bound {bounds[worst]:.3e}")
+        left, right, jl, jr = left[split], right[split], jl[:, split], jr[:, split]
         mid = 0.5 * (left + right)
-        jm = f.jet3(mid)
-        first = make(left, mid, jl, jm)
-        second = make(mid, right, jm, jr)
-        heapq.heappush(heap, first)
-        heapq.heappush(heap, second)
-        total += first[7] + second[7] - bnd
-
-    entries = sorted(heap, key=lambda e: e[1])
-    parts = [Subinterval(e[2], e[3], e[6], e[7]) for e in entries]
-    return _finish(parts, mode, seg)
-
-
-def _finish(parts: list[Subinterval], mode: str, seg: PathSegment) -> CertifiedResult:
-    value = math.fsum(p.local_value for p in parts)
-    certificate = math.fsum(p.local_bound for p in parts)
-    return CertifiedResult(value, certificate, mode, tuple(parts), seg)
+        jm = _jets(f, mid)
+        left, right = np.concatenate((left, mid)), np.concatenate((mid, right))
+        jl, jr = np.concatenate((jl, jm), axis=1), np.concatenate((jm, jr), axis=1)
+    columns = [np.concatenate(c) for c in zip(*parts)]
+    order = np.argsort(columns[0] if seg.h > 0 else -columns[0], kind="stable")
+    columns = [c[order] for c in columns]
+    for c in columns:
+        c.setflags(write=False)
+    value, certificate = (math.fsum(c.tolist()) for c in columns[2:])
+    return CertifiedResult(value, certificate, mode, *columns, seg)
 
 
 def true_error(f, result: CertifiedResult, tol: float = 1e-12) -> float:

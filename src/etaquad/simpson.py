@@ -5,7 +5,8 @@ does); all pending intervals at a refinement level are evaluated in one
 vectorised call.  Acceptance is by the Richardson-extrapolated discrepancy
 against a width-proportional share of the absolute tolerance, so the
 accepted local errors sum to at most the requested tolerance under the
-usual smoothness heuristics.
+usual smoothness heuristics.  A non-finite value is never accepted, so it
+raises ConvergenceError at once, as do more than MAX_LIVE pending intervals.
 """
 
 from __future__ import annotations
@@ -14,9 +15,11 @@ import numpy as np
 
 __all__ = ["ConvergenceError", "integrate"]
 
+MAX_LIVE = 1 << 20
+
 
 class ConvergenceError(RuntimeError):
-    """Tolerance not reached within the maximum bisection depth."""
+    """Tolerance not reached, or not reachable within the work caps."""
 
 
 def integrate(
@@ -77,6 +80,8 @@ def integrate(
         new_fr = np.concatenate([fm[keep], fr[keep]])
         fl, fm, fr = new_fl, new_fm, new_fr
         s = np.concatenate([sl[keep], sr[keep]])
+        if left.size > MAX_LIVE:
+            raise ConvergenceError(f"{left.size} intervals pending, above {MAX_LIVE}")
     if left.size:
         raise ConvergenceError(
             f"{left.size} interval(s) still above tolerance after depth {max_depth}"
@@ -85,5 +90,10 @@ def integrate(
 
 
 def _eval(fn, points: np.ndarray) -> np.ndarray:
-    # Broadcast guards integrands that collapse to a scalar, e.g. constants.
-    return np.broadcast_to(np.asarray(fn(points), dtype=float), points.shape)
+    values = np.asarray(fn(points), dtype=float)
+    if values.shape != points.shape:  # an integrand that collapses to a scalar, e.g. a constant
+        values = np.broadcast_to(values, points.shape)
+    finite = np.isfinite(values)
+    if not finite.all():
+        raise ConvergenceError(f"integrand is {values[~finite][0]} at x = {points[~finite][0]}")
+    return values

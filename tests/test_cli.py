@@ -7,10 +7,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etaquad
-from etaquad.cli import DEFAULT_TOLERANCES, run
+from etaquad.cli import DEFAULT_TOLERANCES, _emit, run
 from etaquad.harness import CSV_COLUMNS
 
 
@@ -232,6 +233,18 @@ def test_integrate_adaptive_target(capsys):
     assert code == 0
     assert report["result"]["certificate"] <= 1e-8
     assert report["result"]["mode"] == "sup"
+
+
+def test_integrate_non_finite_is_usage_error(capsys):
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out, err = invoke(
+            capsys, "integrate", "--f", "exp(800*x)", "--a", "1", "--b", "0", "--target", "1e-6"
+        )
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
+    with pytest.raises(ValueError):
+        _emit({"value": float("nan")}, None, "json")
 
 
 # --- suite ---------------------------------------------------------------------

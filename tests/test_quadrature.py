@@ -8,6 +8,7 @@ import pytest
 from etaquad import (
     BudgetError,
     CertifiedResult,
+    DomainError,
     PathSegment,
     integrate,
     integrate_certified,
@@ -49,12 +50,14 @@ def test_cubic_is_exact():
         assert res.certificate >= 0.0
 
 
-def test_partition_tiles_the_segment():
+@pytest.mark.parametrize("policy", [{"fixed_n": 7}, {"target": 1e-6}], ids=["fixed_n", "target"])
+def test_partition_tiles_the_segment(policy):
     f = parse("exp(x)")
     seg = PathSegment(0.5, -1.25)
-    res = integrate_certified(f, seg, fixed_n=7)
+    res = integrate_certified(f, seg, **policy)
     parts = res.partition
-    assert len(parts) == 7
+    assert len(parts) == res.n == policy.get("fixed_n", res.n)
+    assert not res.local_bound.flags.writeable
     assert parts[0].left == seg.b
     assert parts[-1].right == pytest.approx(seg.end, abs=1e-15)
     for prev, cur in zip(parts, parts[1:]):
@@ -89,6 +92,39 @@ def test_adaptive_meets_target_and_is_deterministic():
     ]
     exact, _ = integrate(lambda x: np.exp(2 * x) * np.sin(3 * x), 0.0, 1.5, tol=1e-13)
     assert abs(r1.value - exact) <= r1.certificate * (1.0 + 1e-9)
+
+
+class CountingJets:
+    """Delegates ``jet3`` to an expression and counts the calls."""
+
+    def __init__(self, f):
+        self.f = f
+        self.calls = 0
+
+    def jet3(self, x):
+        self.calls += 1
+        return self.f.jet3(x)
+
+
+@pytest.mark.parametrize("mode, target", [("hypothesis", 1e-12), ("sup", 1e-9)])
+def test_adaptive_accepts_width_shares_level_by_level(mode, target):
+    # Each accepted bound is within its width's share of the target, so the
+    # certificate cannot drift above it; one jet call per level (plus the
+    # sup grid) keeps the bisection vectorised.
+    f = CountingJets(parse("exp(x)*sin(3*x)+pow(x,6)"))
+    seg = PathSegment(0.0, 2.0)
+    res = integrate_certified(f, seg, mode=mode, target=target)
+    assert res.certificate <= target
+    assert np.all(res.local_bound <= target * np.abs(res.right - res.left) / abs(seg.h))
+    assert f.calls <= 64
+
+
+@pytest.mark.parametrize("policy", [{"target": 1e-6}, {"fixed_n": 8}], ids=["target", "fixed_n"])
+def test_non_finite_local_rule_is_domain_error(policy):
+    f = parse("exp(800*x)")
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite .* on subinterval"):
+            integrate_certified(f, PathSegment(0.0, 1.0), **policy)
 
 
 def test_budget_exhaustion():

@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from etaquad import ConvergenceError, integrate, parse
+from etaquad import ConvergenceError, integrate, parse, simpson
 
 
 def test_polynomial():
@@ -66,3 +66,28 @@ def test_step_discontinuity_does_not_converge():
     step = lambda x: np.where(x < 1.0 / math.pi, 0.0, 1.0)
     with pytest.raises(ConvergenceError):
         integrate(step, 0.0, 1.0, tol=1e-14)
+
+
+def test_non_finite_integrand_stops_at_once():
+    # A NaN never passes the acceptance test, so without the check every
+    # level doubles the pending intervals until memory runs out.
+    asked = [0]
+
+    class Runaway(Exception):
+        pass
+
+    def nan_everywhere(x):
+        asked[0] += np.size(x)
+        if asked[0] > 10_000:
+            raise Runaway(f"{asked[0]} points asked for")
+        return np.full(np.shape(x), np.nan)
+
+    with pytest.raises(ConvergenceError, match="integrand is nan"):
+        integrate(nan_everywhere, 0.0, 1.0)
+    assert asked[0] <= 3
+
+
+def test_pending_intervals_are_capped(monkeypatch):
+    monkeypatch.setattr(simpson, "MAX_LIVE", 16)
+    with pytest.raises(ConvergenceError, match="pending"):
+        integrate(lambda x: np.sin(50.0 * x), 0.0, 10.0, tol=1e-14)
