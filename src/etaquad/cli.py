@@ -303,15 +303,14 @@ def _cmd_integrate(args):
             target=cfg["target"],
             fixed_n=cfg["fixed-n"],
         )
+        result = result_obj.to_json()
+        if cfg["with-true-error"]:
+            result["true_error"] = true_error(f, result_obj, tol=DEFAULT_TOLERANCES["oracle"])
     except (ValueError, DomainError) as exc:
         raise UsageError(str(exc))
-    except BudgetError as exc:
+    except (BudgetError, ConvergenceError) as exc:
         print(f"etaquad integrate: {exc}", file=sys.stderr)
         return 1, cfg, {"error": str(exc)}, False
-    result = result_obj.to_json()
-    if cfg["with-true-error"]:
-        err = true_error(f, result_obj, tol=DEFAULT_TOLERANCES["oracle"])
-        result["true_error"] = err
     return 0, cfg, result, True
 
 

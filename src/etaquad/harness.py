@@ -356,13 +356,9 @@ def tournament(
     """
     f = instance.f
     h = float(eta_eval(instance.emap, instance.a, instance.b))
-    seg = PathSegment(b=instance.b, h=h, a=instance.a)
-    q_value = corrected_trapezoid(f, seg)
-    integral, _ = simpson.integrate(f.value, seg.b, seg.end, tol=lhs_tol)
-    lhs_abs = abs(integral - q_value)
+    _, lhs, t, d3_path = _remainder_and_path(f, instance.b, h, grid_n, lhs_tol)
+    lhs_abs = abs(lhs)
     data = DerivativeData.from_function(f, instance.a, instance.b)
-    t = np.linspace(0.0, 1.0, grid_n)
-    d3_path = np.abs(f.jet3(seg.b + t * seg.h).d3)
 
     out = []
     for q in q_grid:

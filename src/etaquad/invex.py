@@ -19,6 +19,8 @@ from typing import ClassVar
 
 import numpy as np
 
+from .expr import DomainError
+
 __all__ = [
     "EtaMapError",
     "EtaMap",
@@ -250,10 +252,6 @@ def path_point(emap: EtaMap, u, v, t):
     return u + t * emap(v, u)
 
 
-def _value_fn(f):
-    return f.value if hasattr(f, "value") else f
-
-
 def _grids(dom: Domain, grid_n: int):
     u = dom.grid(grid_n)
     t = np.linspace(0.0, 1.0, grid_n)
@@ -294,12 +292,21 @@ def check_invex_set(
     return _verdict(slack, u, t, tol)
 
 
+def _sample(f, x: np.ndarray) -> np.ndarray:
+    """f (an Expression or a plain callable) at x; DomainError names the
+    first x whose value is not finite."""
+    y = np.broadcast_to(f.value(x) if hasattr(f, "value") else f(x), x.shape)
+    bad = ~np.isfinite(y)
+    if bad.any():
+        raise DomainError(f"f is {y[bad][0]} at x = {float(x[bad][0])!r}")
+    return y
+
+
 def _chord_check(f, emap, dom, grid_n, tol, quasi: bool) -> HypothesisReport:
-    fn = _value_fn(f)
     u, t, U, V, T = _grids(dom, grid_n)
-    fu = fn(u)
+    fu = _sample(f, u)
     path = U + T * emap(V, U)
-    fpath = fn(path)
+    fpath = _sample(f, path)
     left = fu[:, None, None]
     right = fu[None, :, None]
     if quasi:

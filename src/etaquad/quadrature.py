@@ -108,14 +108,15 @@ def _jets(f, x: np.ndarray) -> np.ndarray:
 def _local(f, left, right, jets_left, jets_right, mode: str):
     """Local values and error bounds of the subintervals [left, right]."""
     w = right - left
-    values = w * (jets_left[0] + jets_right[0]) / 2.0
-    values += w * w / 12.0 * (jets_left[1] - jets_right[1])
-    if mode == "hypothesis":
-        bounds = np.abs(w) ** 4 / 384.0 * (np.abs(jets_left[2]) + np.abs(jets_right[2]))
-    else:
-        grid = left[:, None] + w[:, None] * np.linspace(0.0, 1.0, SUP_SAMPLES)
-        peaks = np.max(np.abs(f.jet3(grid).d3), axis=1)
-        bounds = np.abs(w) ** 4 / 192.0 * SUP_SAFETY * peaks
+    with np.errstate(all="ignore"):  # non-finite results are refused below
+        values = w * (jets_left[0] + jets_right[0]) / 2.0
+        values += w * w / 12.0 * (jets_left[1] - jets_right[1])
+        if mode == "hypothesis":
+            bounds = np.abs(w) ** 4 / 384.0 * (np.abs(jets_left[2]) + np.abs(jets_right[2]))
+        else:
+            grid = left[:, None] + w[:, None] * np.linspace(0.0, 1.0, SUP_SAMPLES)
+            peaks = np.max(np.abs(f.jet3(grid).d3), axis=1)
+            bounds = np.abs(w) ** 4 / 192.0 * SUP_SAFETY * peaks
     bad = ~(np.isfinite(values) & np.isfinite(bounds))
     if bad.any():
         raise DomainError(f"non-finite local value {values[bad][0]:.3e} or bound {bounds[bad][0]:.3e} "

@@ -5,9 +5,9 @@ import json
 import shutil
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import etaquad
@@ -199,6 +199,18 @@ def test_check_prequasiinvex(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("check", ["preinvex", "prequasiinvex"])
+def test_check_hypothesis_non_finite_sample_is_usage_error(capsys, check):
+    # exp(800) overflows inside [0, 1]: the slack would be NaN.
+    code, out, err = invoke(
+        capsys, "check-hypothesis", "--check", check, "--f", "exp(800*x)",
+        "--a", "1", "--b", "0", "--dom", "0", "1",
+    )
+    assert code == 2
+    assert out == ""
+    assert err == "etaquad check-hypothesis: f is inf at x = 0.890625\n"
+
+
 # --- integrate ----------------------------------------------------------------
 
 
@@ -236,15 +248,48 @@ def test_integrate_adaptive_target(capsys):
 
 
 def test_integrate_non_finite_is_usage_error(capsys):
-    with np.errstate(over="ignore", invalid="ignore"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # and no numpy warning on the way
         code, out, err = invoke(
             capsys, "integrate", "--f", "exp(800*x)", "--a", "1", "--b", "0", "--target", "1e-6"
         )
     assert code == 2
     assert out == ""
-    assert "non-finite" in err
+    assert err.startswith("etaquad integrate: non-finite local value nan or bound nan")
+    assert err.count("\n") == 1
     with pytest.raises(ValueError):
         _emit({"value": float("nan")}, None, "json")
+
+
+def test_integrate_oracle_failure_is_reported(capsys):
+    code, out, err = invoke(
+        capsys, "integrate", "--f", "1/(x-0.3)", "--a", "1", "--b", "0",
+        "--fixed-n", "2", "--with-true-error",
+    )
+    assert code == 1
+    assert err == "etaquad integrate: 132972 interval(s) still above tolerance after depth 40\n"
+    report = json.loads(out)
+    assert report["passed"] is False
+    assert report["result"] == {"error": "132972 interval(s) still above tolerance after depth 40"}
+
+
+@pytest.mark.parametrize(
+    "argv,message",
+    [
+        (("verify-identity",), "integrand is inf at x = 1.0"),
+        (("bound", "--theorem", "T2.1"), "derivative magnitudes must be finite"),
+        (("tournament",), "integrand is inf at x = 1.0"),
+    ],
+    ids=["verify-identity", "bound", "tournament"],
+)
+def test_overflow_prints_no_numpy_warning(capsys, argv, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, argv[0], "--f", "exp(800*x)", "--a", "1", "--b", "0", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"etaquad {argv[0]}: {message}")
+    assert err.count("\n") == 1
 
 
 # --- suite ---------------------------------------------------------------------

@@ -2,11 +2,12 @@
 finite-difference oracle that shares no code with the jet rules."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from etaquad import DomainError, Jet3, ParseError, eval_jet3, evaluate, parse
+from etaquad import DomainError, Jet3, ParseError, parse
 
 
 def fd_jet(fn, x):
@@ -117,6 +118,16 @@ def test_parse_error_offsets():
     assert err.value.position == 7
 
 
+def test_tape_is_postfix_and_drops_the_pow_exponent():
+    assert parse("2*x - 1").tape == (
+        ("const", 2.0), ("var", None), ("mul", None), ("const", 1.0), ("sub", None)
+    )
+    # The var-free exponent is evaluated at parse time; an integer one
+    # selects repeated squaring for jets.
+    assert parse("pow(x, 1+1)").tape == (("var", None), ("powi", 2))
+    assert parse("pow(-x, 0.5*3)").tape == (("var", None), ("neg", None), ("pow", 1.5))
+
+
 def test_has_abs_flag():
     assert parse("abs(x)").has_abs
     assert parse("1 + 2*abs(x-1)").has_abs
@@ -161,6 +172,17 @@ def test_value_domain_errors():
         parse("pow(x, -2)").value(0.0)
     # abs values are fine at the kink; only jets refuse
     assert parse("abs(x)").value(0.0) == 0.0
+
+
+def test_overflow_gives_inf_and_nan_without_warnings():
+    f = parse("exp(800*x)")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert f.value(1.0) == math.inf
+        j = f.jet3(np.array([0.0, 1.0]))
+    assert j.d0[1] == math.inf
+    assert math.isnan(j.d2[1])  # inf * 0 inside the chain rule
+    assert np.isfinite([j.d0[0], j.d1[0], j.d2[0], j.d3[0]]).all()
 
 
 def test_vectorised_domain_error_if_any_point_bad():
@@ -282,9 +304,3 @@ def test_jet3_algebra_helpers():
     with pytest.raises(DomainError):
         a / Jet3.constant(0.0)
 
-
-def test_module_level_helpers():
-    f = parse("sin(x)")
-    assert evaluate(f, 0.5) == f.value(0.5)
-    j = eval_jet3(f, 0.5)
-    assert j.d1 == pytest.approx(math.cos(0.5), rel=1e-15)

@@ -1,0 +1,131 @@
+"""Jets checked against an independent source: the grammar is a subset of
+Python expression syntax, so ``eval`` of an expression's source with the
+primitives bound to mpmath, differentiated by ``mpmath.diff`` at 40
+digits, gives a reference for orders 0-3 that shares no code with the
+parser or the jet rules."""
+
+import math
+
+import pytest
+
+mpmath = pytest.importorskip("mpmath")
+hypothesis = pytest.importorskip("hypothesis")
+st = hypothesis.strategies
+
+from etaquad import DomainError, parse  # noqa: E402
+
+from test_expr import CORPUS  # noqa: E402
+
+_NAMES = {
+    "exp": mpmath.exp,
+    "log": mpmath.log,
+    "sin": mpmath.sin,
+    "cos": mpmath.cos,
+    "abs": abs,
+    "pow": mpmath.power,
+}
+
+
+def _mp(source, v):
+    return eval(source, {"__builtins__": {}}, {**_NAMES, "x": v, "t": v})
+
+
+def reference_jet(source, x):
+    with mpmath.workdps(40):
+        return [mpmath.diff(lambda v: _mp(source, v), mpmath.mpf(x), k) for k in range(4)]
+
+
+def _assert_jet_close(source, x, rel):
+    j = parse(source).jet3(x)
+    want = reference_jet(source, x)
+    # Errors are measured against the largest jet component: an order
+    # that cancels to near zero still carries the rounding of the others.
+    scale = max(1.0, *(abs(float(w)) for w in want))
+    for k, (got, w) in enumerate(zip((j.d0, j.d1, j.d2, j.d3), want)):
+        assert abs(got - float(w)) <= rel * scale, (source, x, k, got, float(w))
+
+
+@pytest.mark.parametrize("source,x", CORPUS)
+def test_jets_match_mpmath(source, x):
+    _assert_jet_close(source, x, rel=1e-13)
+
+
+# Random expressions from the grammar.  Every node renders as an atom
+# (parenthesised, a call, a name or an unsigned number), so a unary minus
+# never meets another sign.  Each node also carries its guards: the
+# arguments that must stay positive (log, fractional pow) or away from zero
+# (divisors, abs, negative integer powers) for the point to be smooth.
+
+_leaf = st.one_of(
+    st.just(("x", ())),
+    st.sampled_from(["0.5", "1.5", "2", "3", "0.25", "1e-1"]).map(lambda c: (c, ())),
+)
+
+
+def _grow(children):
+    def binary(op):
+        return st.tuples(children, children).map(
+            lambda p: (f"({p[0][0]} {op} {p[1][0]})", p[0][1] + p[1][1])
+        )
+
+    def call(name, guard=None):
+        return children.map(
+            lambda c: (f"{name}({c[0]})", c[1] + (((guard, c[0]),) if guard else ()))
+        )
+
+    def power(exponents):
+        def render(p):
+            (src, guards), r = p
+            if isinstance(r, float):
+                guards += (("positive", src),)
+            elif r < 0:
+                guards += (("nonzero", src),)
+            return f"pow({src}, {r})", guards
+
+        return st.tuples(children, st.sampled_from(exponents)).map(render)
+
+    return st.one_of(
+        binary("+"),
+        binary("-"),
+        binary("*"),
+        st.tuples(children, children).map(
+            lambda p: (f"({p[0][0]} / {p[1][0]})", p[0][1] + p[1][1] + (("nonzero", p[1][0]),))
+        ),
+        children.map(lambda c: (f"(-{c[0]})", c[1])),
+        call("exp"),
+        call("sin"),
+        call("cos"),
+        call("log", "positive"),
+        call("abs", "nonzero"),
+        power([-2, -1, 0, 2, 3, 5]),
+        power([0.5, 1.5, 2.5, -0.5]),
+    )
+
+
+expressions = st.recursive(_leaf, _grow, max_leaves=6)
+
+# How far a guarded argument must stay from zero, in absolute terms.
+MARGIN = 0.05
+
+
+@hypothesis.settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow],
+)
+@hypothesis.given(expressions, st.floats(-2.0, 2.0, allow_nan=False))
+def test_random_expression_jets_match_mpmath(expr, x):
+    source, guards = expr
+    with mpmath.workdps(40):
+        for kind, arg in guards:
+            u = _mp(arg, mpmath.mpf(x))
+            hypothesis.assume(u > MARGIN if kind == "positive" else abs(u) > MARGIN)
+    try:
+        j = parse(source).jet3(x)
+    except DomainError:
+        hypothesis.reject()
+    hypothesis.assume(all(math.isfinite(c) for c in (j.d0, j.d1, j.d2, j.d3)))
+    want = reference_jet(source, x)
+    hypothesis.assume(all(mpmath.isfinite(w) and abs(w) < 1e300 for w in want))
+    _assert_jet_close(source, x, rel=1e-9)

@@ -7,6 +7,7 @@ import pytest
 
 from etaquad import (
     DifferenceMap,
+    DomainError,
     Domain,
     EtaMapError,
     PiecewiseSignMap,
@@ -165,6 +166,16 @@ def test_neg_abs_needs_the_sign_map():
 def test_plain_callable_accepted():
     rep = check_preinvex(lambda u: u * u, DifferenceMap(), Domain(-1.0, 1.0), grid_n=9)
     assert rep.passed
+
+
+@pytest.mark.parametrize("check", [check_preinvex, check_prequasiinvex])
+def test_non_finite_sample_is_refused(check):
+    # On the grid 0, 0.25, ..., 1, x = 0.5 is an endpoint sample and
+    # x = 0.1875 only a path point (u = 0, v = 0.75, t = 0.25).
+    with pytest.raises(DomainError, match=r"f is nan at x = 0\.5$"):
+        check(lambda u: np.where(u == 0.5, np.nan, u), DifferenceMap(), Domain(0.0, 1.0), grid_n=5)
+    with pytest.raises(DomainError, match=r"f is inf at x = 0\.1875$"):
+        check(lambda u: np.where(u == 0.1875, np.inf, u), DifferenceMap(), Domain(0.0, 1.0), grid_n=5)
 
 
 def test_monotone_cubic_quasi_but_not_pre():
