@@ -6,6 +6,10 @@ version, so a report file alone is enough to rerun the computation.  Key
 order in JSON output is fixed; the same argv and seed produce byte-
 identical files.
 
+Each option is declared once, in ``OPTIONS``, and each command once, in
+``COMMANDS``.  A key's value is its flag if given, else its value in the
+``--config`` file, else its default.
+
 Exit codes: 0 pass/success, 1 detected violation or failed check, 2
 usage or configuration error.
 """
@@ -14,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -22,7 +27,7 @@ import numpy as np
 
 from . import __version__
 from .bounds import BoundSpec, DerivativeData, THEOREM_ORDER, bound
-from .expr import DomainError, ParseError, parse
+from .expr import ParseError, parse
 from .harness import (
     CSV_COLUMNS,
     FAMILIES,
@@ -35,7 +40,6 @@ from .identity import PathSegment, verify_identity
 from .invex import (
     DifferenceMap,
     Domain,
-    EtaMapError,
     PiecewiseSignMap,
     ScaledMap,
     check_invex_set,
@@ -53,38 +57,34 @@ DEFAULT_TOLERANCES = {
     "oracle": 1e-12,
 }
 
-_FAMILY_CHOICES = tuple(FAMILIES) + ("mixed",)
 
-
-class UsageError(Exception):
+class UsageError(ValueError):
     """Bad flag/config values detected after argparse; exits with 2."""
 
 
-def _parse_eta(text):
+def _eta_obj(cfg: dict):
+    """The direction map cfg["eta"] names; the report keeps its JSON form."""
+    text = cfg["eta"]
     if text == "difference":
-        return DifferenceMap()
-    if text == "paper_piecewise":
-        return PiecewiseSignMap()
-    if text.startswith("scaled:"):
+        emap = DifferenceMap()
+    elif text == "paper_piecewise":
+        emap = PiecewiseSignMap()
+    elif text.startswith("scaled:"):
         try:
-            return ScaledMap(float(text.split(":", 1)[1]))
+            emap = ScaledMap(float(text.split(":", 1)[1]))
         except ValueError as exc:
             raise UsageError(f"bad scaled map: {exc}")
-    if text.lstrip().startswith("{"):
+    elif text.lstrip().startswith("{"):
         try:
-            return eta_from_json(json.loads(text))
+            emap = eta_from_json(json.loads(text))
         except (json.JSONDecodeError, KeyError, ValueError) as exc:
             raise UsageError(f"bad eta JSON: {exc}")
-    raise UsageError(
-        f"unknown eta {text!r}: use difference | paper_piecewise | scaled:<lam> | a JSON object"
-    )
-
-
-def _parse_function(text):
-    try:
-        return parse(text)
-    except ParseError as exc:
-        raise UsageError(f"bad expression: {exc}")
+    else:
+        raise UsageError(
+            f"unknown eta {text!r}: use difference | paper_piecewise | scaled:<lam> | a JSON object"
+        )
+    cfg["eta"] = emap.to_json()
+    return emap
 
 
 def _plain(obj):
@@ -122,13 +122,11 @@ def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
         if csv_rows is not None:
             writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
             writer.writeheader()
-            for row in csv_rows:
-                writer.writerow(row)
+            writer.writerows(csv_rows)
         else:
             writer = csv.writer(buf, lineterminator="\n")
             writer.writerow(["key", "value"])
-            for key, value in _flatten(report):
-                writer.writerow([key, value])
+            writer.writerows(_flatten(report))
         text = buf.getvalue()
     if out:
         with open(out, "w", encoding="utf-8", newline="") as fh:
@@ -148,266 +146,231 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
-def _load_config(path: str | None) -> dict:
-    if not path:
-        return {}
+def _flag_text(value) -> str:
+    return value if isinstance(value, str) else json.dumps(value)
+
+
+def _from_file(key: str, raw):
+    """A config-file value, converted and checked as the flag's text would be."""
+    kwargs = OPTIONS[key][1]
+    convert = kwargs.get("type", str)
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
-        raise UsageError(f"cannot read config file: {exc}")
-    if not isinstance(data, dict):
-        raise UsageError("config file must hold a JSON object")
-    return data
-
-
-def _resolve(args: argparse.Namespace, keys: tuple[str, ...]) -> dict:
-    """Flag value if given, else config-file value, else the flag default."""
-    file_cfg = _load_config(getattr(args, "config", None))
-    resolved = {}
-    for key in keys:
-        flag_val = getattr(args, key.replace("-", "_"), None)
-        if flag_val is not None:
-            resolved[key] = flag_val
-        elif key in file_cfg:
-            resolved[key] = file_cfg[key]
+        if kwargs.get("action") == "store_const":
+            valid, value = isinstance(raw, bool), raw
+        elif "nargs" in kwargs:
+            valid = isinstance(raw, list) and len(raw) == kwargs["nargs"]
+            value = [convert(_flag_text(v)) for v in raw] if valid else raw
         else:
-            resolved[key] = None
-    return resolved
+            value = convert(_flag_text(raw))
+            valid = "choices" not in kwargs or value in kwargs["choices"]
+    except ValueError:
+        valid = False
+    if not valid:
+        raise UsageError(f"bad value for config key {key!r}: {raw!r}")
+    return value
 
 
-def _require(cfg: dict, *keys: str) -> None:
-    flag = {"function": "--f"}
-    missing = [k for k in keys if cfg.get(k) is None]
+def _require(cfg: dict, keys) -> None:
+    missing = [OPTIONS[k][0] for k in keys if cfg[k] in (None, REQUIRED)]
     if missing:
-        names = ", ".join(flag.get(k, "--" + k) for k in missing)
-        raise UsageError(f"missing required option(s): {names}")
+        raise UsageError(f"missing required option(s): {', '.join(missing)}")
 
 
-def _eta_obj(cfg: dict):
-    raw = cfg.get("eta") or "difference"
-    if isinstance(raw, dict):
+def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
+    """Flag value if given, else config-file value, else the table default."""
+    file_cfg = {}
+    if args.config:
         try:
-            emap = eta_from_json(raw)
-        except (KeyError, ValueError) as exc:
-            raise UsageError(f"bad eta config: {exc}")
-    else:
-        emap = _parse_eta(str(raw))
-    cfg["eta"] = emap.to_json()
-    return emap
+            with open(args.config, "r", encoding="utf-8") as fh:
+                file_cfg = json.load(fh)
+        except (OSError, json.JSONDecodeError) as exc:
+            raise UsageError(f"cannot read config file: {exc}")
+        if not isinstance(file_cfg, dict):
+            raise UsageError("config file must hold a JSON object")
+    cfg = {}
+    for key, default in defaults.items():
+        value = getattr(args, key.replace("-", "_"))
+        if value is None and file_cfg.get(key) is not None:
+            value = _from_file(key, file_cfg[key])
+        cfg[key] = default if value is None else value
+    _require(cfg, [k for k, default in defaults.items() if default is REQUIRED])
+    return cfg
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers.  Each returns (exit_code, report, csv_rows).
+# Subcommand handlers: (cfg) -> (exit_code, result, passed, csv_rows).
 
 
-def _cmd_verify_identity(args):
-    cfg = _resolve(args, ("function", "eta", "a", "b", "tol", "format", "out"))
-    _require(cfg, "function", "a", "b")
+def _cmd_verify_identity(cfg):
     emap = _eta_obj(cfg)
-    f = _parse_function(cfg["function"])
-    tol = cfg["tol"] if cfg["tol"] is not None else DEFAULT_TOLERANCES["identity_abs"]
-    cfg["tol"] = tol
-    try:
-        seg = PathSegment.from_eta(emap, float(cfg["a"]), float(cfg["b"]))
-        rep = verify_identity(f, seg, tol=tol)
-    except (ValueError, ConvergenceError) as exc:
-        raise UsageError(str(exc))
+    f = parse(cfg["function"])
+    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
+    rep = verify_identity(f, seg, tol=cfg["tol"])
     result = rep.to_json()
     result["eta_ab"] = seg.h
-    result["eta_ba"] = float(eta_eval(emap, float(cfg["b"]), float(cfg["a"])))
-    return (0 if rep.passed else 1), cfg, result, rep.passed
+    result["eta_ba"] = float(eta_eval(emap, cfg["b"], cfg["a"]))
+    return (0 if rep.passed else 1), result, rep.passed, None
 
 
-def _cmd_bound(args):
-    cfg = _resolve(args, ("function", "eta", "a", "b", "theorem", "q", "tight", "format", "out"))
-    _require(cfg, "function", "a", "b", "theorem")
+def _cmd_bound(cfg):
     emap = _eta_obj(cfg)
-    f = _parse_function(cfg["function"])
-    q = float(cfg["q"]) if cfg["q"] is not None else 1.0
-    cfg["q"] = q
-    tight = bool(cfg["tight"])
-    cfg["tight"] = tight
-    try:
-        spec = BoundSpec(str(cfg["theorem"]), q)
-        a, b = float(cfg["a"]), float(cfg["b"])
-        seg = PathSegment.from_eta(emap, a, b)
-        data = DerivativeData.from_function(f, a, b)
-        bv = bound(spec, seg.h, data, tight=tight)
-    except (ValueError, DomainError) as exc:
-        raise UsageError(str(exc))
-    result = bv.to_json()
+    f = parse(cfg["function"])
+    spec = BoundSpec(cfg["theorem"], cfg["q"])
+    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
+    data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
+    result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
     result["h"] = seg.h
-    result["eta_ba"] = float(eta_eval(emap, b, a))
+    result["eta_ba"] = float(eta_eval(emap, cfg["b"], cfg["a"]))
     result["a3"] = data.a3
     result["b3"] = data.b3
-    return 0, cfg, result, True
+    return 0, result, True, None
 
 
-def _cmd_check_hypothesis(args):
-    cfg = _resolve(
-        args, ("check", "function", "eta", "dom", "sample", "grid", "tol", "format", "out")
-    )
-    _require(cfg, "check", "dom")
+def _cmd_check_hypothesis(cfg):
     emap = _eta_obj(cfg)
-    grid_n = int(cfg["grid"]) if cfg["grid"] is not None else 65
-    cfg["grid"] = grid_n
-    lo, hi = (float(v) for v in cfg["dom"])
-    dom = Domain(lo, hi)
-    kind = str(cfg["check"])
-    try:
-        if kind == "invex-set":
-            sample = None
-            if cfg["sample"] is not None:
-                s_lo, s_hi = (float(v) for v in cfg["sample"])
-                sample = Domain(s_lo, s_hi)
-            tol = cfg["tol"] if cfg["tol"] is not None else 1e-12
-            cfg["tol"] = tol
-            rep = check_invex_set(emap, dom, grid_n=grid_n, sample=sample, tol=tol)
-        else:
-            _require(cfg, "function")
-            f = _parse_function(cfg["function"])
-            tol = cfg["tol"] if cfg["tol"] is not None else DEFAULT_TOLERANCES["ratio_slack"]
-            cfg["tol"] = tol
-            if kind == "preinvex":
-                rep = check_preinvex(f, emap, dom, grid_n=grid_n, tol=tol)
-            elif kind == "prequasiinvex":
-                rep = check_prequasiinvex(f, emap, dom, grid_n=grid_n, tol=tol)
-            else:
-                raise UsageError(f"unknown check {kind!r}")
-    except (EtaMapError, DomainError, ValueError) as exc:
-        if isinstance(exc, UsageError):
-            raise
-        raise UsageError(str(exc))
-    return (0 if rep.passed else 1), cfg, rep.to_json(), rep.passed
+    dom = Domain(*cfg["dom"])
+    if cfg["tol"] is None:
+        cfg["tol"] = 1e-12 if cfg["check"] == "invex-set" else DEFAULT_TOLERANCES["ratio_slack"]
+    if cfg["check"] == "invex-set":
+        sample = Domain(*cfg["sample"]) if cfg["sample"] else None
+        rep = check_invex_set(emap, dom, grid_n=cfg["grid"], sample=sample, tol=cfg["tol"])
+    else:
+        _require(cfg, ["function"])
+        f = parse(cfg["function"])
+        check = check_preinvex if cfg["check"] == "preinvex" else check_prequasiinvex
+        rep = check(f, emap, dom, grid_n=cfg["grid"], tol=cfg["tol"])
+    return (0 if rep.passed else 1), rep.to_json(), rep.passed, None
 
 
-def _cmd_integrate(args):
-    cfg = _resolve(
-        args,
-        ("function", "eta", "a", "b", "mode", "target", "fixed-n", "with-true-error", "format", "out"),
-    )
-    _require(cfg, "function", "a", "b")
+def _cmd_integrate(cfg):
     emap = _eta_obj(cfg)
-    f = _parse_function(cfg["function"])
-    mode = str(cfg["mode"]) if cfg["mode"] is not None else "hypothesis"
-    cfg["mode"] = mode
+    f = parse(cfg["function"])
     if cfg["target"] is None and cfg["fixed-n"] is None:
         cfg["fixed-n"] = 64
+    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
     try:
-        seg = PathSegment.from_eta(emap, float(cfg["a"]), float(cfg["b"]))
         result_obj = integrate_certified(
-            f,
-            seg,
-            mode=mode,
-            target=cfg["target"],
-            fixed_n=cfg["fixed-n"],
+            f, seg, mode=cfg["mode"], target=cfg["target"], fixed_n=cfg["fixed-n"]
         )
         result = result_obj.to_json()
         if cfg["with-true-error"]:
             result["true_error"] = true_error(f, result_obj, tol=DEFAULT_TOLERANCES["oracle"])
-    except (ValueError, DomainError) as exc:
-        raise UsageError(str(exc))
     except (BudgetError, ConvergenceError) as exc:
         print(f"etaquad integrate: {exc}", file=sys.stderr)
-        return 1, cfg, {"error": str(exc)}, False
-    return 0, cfg, result, True
+        return 1, {"error": str(exc)}, False, None
+    return 0, result, True, None
 
 
-def _suite_specs(cfg) -> list[BoundSpec]:
-    theorems = cfg["theorems"] if cfg["theorems"] is not None else ",".join(THEOREM_ORDER)
-    cfg["theorems"] = theorems
-    q = float(cfg["q"]) if cfg["q"] is not None else 2.0
-    cfg["q"] = q
-    try:
-        return [BoundSpec(name.strip(), q) for name in str(theorems).split(",") if name.strip()]
-    except ValueError as exc:
-        raise UsageError(str(exc))
-
-
-def _cmd_suite(args):
-    cfg = _resolve(
-        args, ("family", "theorems", "q", "trials", "seed", "grid", "format", "out")
+def _cmd_suite(cfg):
+    specs = [BoundSpec(name.strip(), cfg["q"]) for name in cfg["theorems"].split(",") if name.strip()]
+    report = run_inequality_suite(
+        cfg["family"], specs, trials=cfg["trials"], seed=cfg["seed"], grid_n=cfg["grid"]
     )
-    family = str(cfg["family"]) if cfg["family"] is not None else "poly6"
-    cfg["family"] = family
-    if family not in _FAMILY_CHOICES:
-        raise UsageError(f"unknown family {family!r}; choose from {', '.join(_FAMILY_CHOICES)}")
-    trials = int(cfg["trials"]) if cfg["trials"] is not None else 100
-    cfg["trials"] = trials
-    seed = int(cfg["seed"]) if cfg["seed"] is not None else 0
-    cfg["seed"] = seed
-    grid_n = int(cfg["grid"]) if cfg["grid"] is not None else 65
-    cfg["grid"] = grid_n
-    specs = _suite_specs(cfg)
-    report = run_inequality_suite(family, specs, trials=trials, seed=seed, grid_n=grid_n)
     passed = report.violations == 0
-    csv_rows = [row.to_json() for row in report.rows]
-    return (0 if passed else 1), cfg, report.to_json(), passed, csv_rows
+    return (0 if passed else 1), report.to_json(), passed, [row.to_json() for row in report.rows]
 
 
-def _cmd_tournament(args):
-    cfg = _resolve(args, ("function", "eta", "a", "b", "q-grid", "grid", "format", "out"))
-    _require(cfg, "function", "a", "b")
+def _cmd_tournament(cfg):
     emap = _eta_obj(cfg)
-    f = _parse_function(cfg["function"])
-    grid_n = int(cfg["grid"]) if cfg["grid"] is not None else 65
-    cfg["grid"] = grid_n
-    raw = cfg["q-grid"] if cfg["q-grid"] is not None else "1,2,4"
-    cfg["q-grid"] = raw
-    if isinstance(raw, str):
-        try:
-            q_grid = [float(v) for v in raw.split(",") if v.strip()]
-        except ValueError as exc:
-            raise UsageError(f"bad q grid: {exc}")
-    else:
-        q_grid = [float(v) for v in raw]
+    f = parse(cfg["function"])
+    try:
+        q_grid = [float(v) for v in cfg["q-grid"].split(",") if v.strip()]
+    except ValueError as exc:
+        raise UsageError(f"bad q grid: {exc}")
     if not q_grid:
         raise UsageError("q grid is empty")
-    inst = Instance(f, emap, float(cfg["a"]), float(cfg["b"]))
-    try:
-        rows = tournament(inst, q_grid, grid_n=grid_n)
-    except (ValueError, DomainError, ConvergenceError) as exc:
-        raise UsageError(str(exc))
-    return 0, cfg, {"rows": rows}, True
+    rows = tournament(Instance(f, emap, cfg["a"], cfg["b"]), q_grid, grid_n=cfg["grid"])
+    return 0, {"rows": rows}, True, None
 
 
-def _cmd_hh_classical(args):
-    cfg = _resolve(args, ("function", "a", "b", "grid", "tol", "format", "out"))
-    _require(cfg, "function", "a", "b")
-    f = _parse_function(cfg["function"])
-    grid_n = int(cfg["grid"]) if cfg["grid"] is not None else 65
-    cfg["grid"] = grid_n
-    tol = cfg["tol"] if cfg["tol"] is not None else DEFAULT_TOLERANCES["ratio_slack"]
-    cfg["tol"] = tol
-    try:
-        rep = check_hh_classical(f, float(cfg["a"]), float(cfg["b"]), grid_n=grid_n, tol=tol)
-    except (ValueError, ConvergenceError, DomainError) as exc:
-        raise UsageError(str(exc))
-    return (0 if rep.passed else 1), cfg, rep.to_json(), rep.passed
+def _cmd_hh_classical(cfg):
+    f = parse(cfg["function"])
+    rep = check_hh_classical(f, cfg["a"], cfg["b"], grid_n=cfg["grid"], tol=cfg["tol"])
+    return (0 if rep.passed else 1), rep.to_json(), rep.passed, None
 
 
 # ---------------------------------------------------------------------------
-# Argument wiring.
+# The option table.  A config key is its flag without "--" (``function``
+# for ``--f``); every command also takes ``--config``, which is no key.
+# OPTIONS order is the flag order in every usage line.
+
+REQUIRED = object()
+
+OPTIONS = {
+    "check": ("--check", {"choices": ("invex-set", "preinvex", "prequasiinvex"),
+                          "help": "which hypothesis to check"}),
+    "function": ("--f", {"help": "expression in x (or t)"}),
+    "a": ("--a", {"type": float, "help": "endpoint a; paths run from b by eta(a, b)"}),
+    "b": ("--b", {"type": float, "help": "endpoint b, the base point of the path"}),
+    "eta": ("--eta", {"help": "difference | paper_piecewise | scaled:<lam> | JSON object"}),
+    "dom": ("--dom", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
+                      "help": "domain interval"}),
+    "sample": ("--sample", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
+                            "help": "endpoint sampling box (invex-set only)"}),
+    "mode": ("--mode", {"choices": ("hypothesis", "sup"), "help": "certificate mode"}),
+    "target": ("--target", {"type": float, "help": "adaptive certificate target"}),
+    "fixed-n": ("--fixed-n", {"type": int, "help": "uniform subinterval count"}),
+    "with-true-error": ("--with-true-error", {"action": "store_const", "const": True,
+                                              "help": "also report the oracle error"}),
+    "family": ("--family", {"choices": tuple(FAMILIES) + ("mixed",), "help": "instance family"}),
+    "theorems": ("--theorems", {"help": "comma list of bound selectors"}),
+    "theorem": ("--theorem", {"help": "T2.1 T2.2 T2.3 T3.1 T3.2 T3.3 C2.1 C2.2 C2.3 C2.4"}),
+    "q": ("--q", {"type": float, "help": "exponent q"}),
+    "tight": ("--tight", {"action": "store_const", "const": True,
+                          "help": "use the sharpened T3.3 constant"}),
+    "trials": ("--trials", {"type": int, "help": "instance count"}),
+    "seed": ("--seed", {"type": int, "help": "campaign seed"}),
+    "q-grid": ("--q-grid", {"help": "comma list of q values"}),
+    "grid": ("--grid", {"type": int, "help": "grid points; hh-classical: oracle refinement"}),
+    "tol": ("--tol", {"type": float, "help": "comparison tolerance"}),
+    "config": ("--config", {"help": "JSON config file; flags override its values"}),
+    "out": ("--out", {"help": "write the report here instead of stdout"}),
+    "format": ("--format", {"choices": ("json", "csv"), "help": "report format"}),
+}
+
+_SEGMENT = {"function": REQUIRED, "eta": "difference", "a": REQUIRED, "b": REQUIRED}
+_OUTPUT = {"format": "json", "out": None}
+
+# command -> (handler, help, {key: default | REQUIRED}); key order is the
+# order of the report's config.
+COMMANDS = {
+    "verify-identity": (
+        _cmd_verify_identity, "check both sides of the remainder identity",
+        {**_SEGMENT, "tol": DEFAULT_TOLERANCES["identity_abs"], **_OUTPUT},
+    ),
+    "bound": (
+        _cmd_bound, "evaluate one closed-form remainder bound",
+        {**_SEGMENT, "theorem": REQUIRED, "q": 1.0, "tight": False, **_OUTPUT},
+    ),
+    "check-hypothesis": (
+        _cmd_check_hypothesis, "grid-sampled invexity/chord checks",
+        # tol: the handler picks 1e-12 for invex-set, else the ratio slack.
+        {"check": REQUIRED, "function": None, "eta": "difference", "dom": REQUIRED,
+         "sample": None, "grid": 65, "tol": None, **_OUTPUT},
+    ),
+    "integrate": (
+        _cmd_integrate, "composite corrected-trapezoid with certificate",
+        {**_SEGMENT, "mode": "hypothesis", "target": None, "fixed-n": None,
+         "with-true-error": None, **_OUTPUT},
+    ),
+    "suite": (
+        _cmd_suite, "seeded inequality campaign over a family",
+        {"family": "poly6", "theorems": ",".join(THEOREM_ORDER), "q": 2.0, "trials": 100,
+         "seed": 0, "grid": 65, **_OUTPUT},
+    ),
+    "tournament": (
+        _cmd_tournament, "compare all six bounds across a q grid",
+        {**_SEGMENT, "q-grid": "1,2,4", "grid": 65, **_OUTPUT},
+    ),
+    "hh-classical": (
+        _cmd_hh_classical, "midpoint/mean/endpoint chain for f on [a, b]",
+        {"function": REQUIRED, "a": REQUIRED, "b": REQUIRED, "grid": 65,
+         "tol": DEFAULT_TOLERANCES["ratio_slack"], **_OUTPUT},
+    ),
+}
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON config file; flags override its values")
-    p.add_argument("--out", help="write the report here instead of stdout")
-    p.add_argument("--format", choices=("json", "csv"), default=None, help="report format")
-
-
-def _add_segment_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--f", dest="function", help="expression in x (or t)")
-    p.add_argument("--a", type=float, help="endpoint fed to eta(a, b)")
-    p.add_argument("--b", type=float, help="base point of the path")
-    p.add_argument(
-        "--eta",
-        default=None,
-        help="difference | paper_piecewise | scaled:<lam> | JSON object (default difference)",
-    )
-
-
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="etaquad",
@@ -415,90 +378,33 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"etaquad {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("verify-identity", help="check both sides of the remainder identity")
-    _add_segment_flags(p)
-    p.add_argument("--tol", type=float, help="absolute comparison tolerance (default 1e-10)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_verify_identity)
-
-    p = sub.add_parser("bound", help="evaluate one closed-form remainder bound")
-    _add_segment_flags(p)
-    p.add_argument("--theorem", help="T2.1 T2.2 T2.3 T3.1 T3.2 T3.3 C2.1 C2.2 C2.3 C2.4")
-    p.add_argument("--q", type=float, help="exponent q (default 1)")
-    p.add_argument("--tight", action="store_const", const=True, default=None,
-                   help="use the sharpened T3.3 constant")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_bound)
-
-    p = sub.add_parser("check-hypothesis", help="grid-sampled invexity/chord checks")
-    p.add_argument("--check", choices=("invex-set", "preinvex", "prequasiinvex"))
-    _add_segment_flags(p)
-    p.add_argument("--dom", type=float, nargs=2, metavar=("LO", "HI"), help="domain interval")
-    p.add_argument("--sample", type=float, nargs=2, metavar=("LO", "HI"),
-                   help="endpoint sampling box (invex-set only)")
-    p.add_argument("--grid", type=int, help="points per axis (default 65)")
-    p.add_argument("--tol", type=float, help="slack tolerance")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_check_hypothesis)
-
-    p = sub.add_parser("integrate", help="composite corrected-trapezoid with certificate")
-    _add_segment_flags(p)
-    p.add_argument("--mode", choices=("hypothesis", "sup"), help="certificate mode")
-    p.add_argument("--target", type=float, help="adaptive certificate target")
-    p.add_argument("--fixed-n", dest="fixed_n", type=int, help="uniform subinterval count")
-    p.add_argument("--with-true-error", dest="with_true_error", action="store_const",
-                   const=True, default=None, help="also report the oracle error")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_integrate)
-
-    p = sub.add_parser("suite", help="seeded inequality campaign over a family")
-    p.add_argument("--family", choices=_FAMILY_CHOICES, default=None)
-    p.add_argument("--theorems", help="comma list of bound selectors (default all six T*)")
-    p.add_argument("--q", type=float, help="exponent for every selector (default 2)")
-    p.add_argument("--trials", type=int, help="instance count (default 100)")
-    p.add_argument("--seed", type=int, help="campaign seed (default 0)")
-    p.add_argument("--grid", type=int, help="hypothesis grid points (default 65)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_suite)
-
-    p = sub.add_parser("tournament", help="compare all six bounds across a q grid")
-    _add_segment_flags(p)
-    p.add_argument("--q-grid", dest="q_grid", help="comma list of q values (default 1,2,4)")
-    p.add_argument("--grid", type=int, help="hypothesis grid points (default 65)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_tournament)
-
-    p = sub.add_parser("hh-classical", help="midpoint/mean/endpoint chain for f on [a, b]")
-    p.add_argument("--f", dest="function", help="expression in x (or t)")
-    p.add_argument("--a", type=float)
-    p.add_argument("--b", type=float)
-    p.add_argument("--grid", type=int, help="oracle refinement control (default 65)")
-    p.add_argument("--tol", type=float, help="relative tolerance (default 1e-9)")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_hh_classical)
-
+    for command, (_, help_text, defaults) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        for key, (flag, kwargs) in OPTIONS.items():
+            if key not in defaults and key != "config":
+                continue
+            default = defaults.get(key)
+            shown = ""
+            if default is not None and default is not REQUIRED and "action" not in kwargs:
+                shown = f" (default {default})"
+            p.add_argument(
+                flag, dest=key.replace("-", "_"), **{**kwargs, "help": kwargs["help"] + shown}
+            )
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
+    handler, _, defaults = COMMANDS[args.command]
     try:
-        outcome = args.handler(args)
-    except UsageError as exc:
-        print(f"etaquad {args.command}: {exc}", file=sys.stderr)
+        cfg = _resolve(args, defaults)
+        code, result, passed, csv_rows = handler(cfg)
+    except (ValueError, ConvergenceError) as exc:  # UsageError, ParseError, DomainError, ...
+        what = "bad expression: " if isinstance(exc, ParseError) else ""
+        print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)
         return 2
-    if len(outcome) == 5:
-        code, cfg, result, passed, csv_rows = outcome
-    else:
-        code, cfg, result, passed = outcome
-        csv_rows = None
     cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
-    fmt = cfg.get("format") or "json"
-    cfg["format"] = fmt
-    report = _report(args.command, cfg, result, passed)
-    _emit(report, cfg.get("out"), fmt, csv_rows=csv_rows)
+    _emit(_report(args.command, cfg, result, passed), cfg["out"], cfg["format"], csv_rows=csv_rows)
     return code
 
 

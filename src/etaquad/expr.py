@@ -176,7 +176,12 @@ def _powi(u, n):
     jet = isinstance(u, Jet3)
     if n < 0:
         _refuse((u.d0 if jet else u) == 0.0, "zero base with negative exponent")
-    return _int_pow_jet(u, n) if jet else u ** n
+    if jet:
+        return _int_pow_jet(u, n)
+    try:
+        return u ** n
+    except OverflowError:  # a Python float raises where numpy gives +-inf
+        return np.float64(u) ** n
 
 
 def _abs(u, c):

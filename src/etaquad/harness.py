@@ -22,7 +22,7 @@ from . import simpson
 from .bounds import BoundSpec, DerivativeData, THEOREM_ORDER, bound
 from .expr import Expression, parse
 from .identity import PathSegment, corrected_trapezoid
-from .invex import DifferenceMap, EtaMap, HypothesisReport, eta_eval
+from .invex import DifferenceMap, EtaMap, HypothesisReport, eta_eval, path_grid
 
 __all__ = [
     "RATIO_SLACK",
@@ -244,11 +244,11 @@ def _gate(kind: str, d3_path: np.ndarray, t: np.ndarray, a3: float, b3: float, q
 
 
 def _remainder_and_path(f, b: float, h: float, grid_n: int, lhs_tol: float):
+    t = path_grid(grid_n)
     seg = PathSegment(b=b, h=h, a=b + h)
     q_value = corrected_trapezoid(f, seg)
     integral, _ = simpson.integrate(f.value, seg.b, seg.end, tol=lhs_tol)
     lhs = integral - q_value
-    t = np.linspace(0.0, 1.0, grid_n)
     d3_path = np.abs(f.jet3(b + t * h).d3)
     return seg, lhs, t, d3_path
 
@@ -371,6 +371,8 @@ def tournament(
                 continue
             values[thm] = bound(spec, h, data).value
         available = [thm for thm in THEOREM_ORDER if values[thm] is not None]
+        if not available:
+            raise ValueError(f"no bound is defined at q = {q}")
         winner = min(available, key=lambda thm: (values[thm], THEOREM_ORDER.index(thm)))
         out.append(
             {
@@ -403,6 +405,7 @@ def sharpness_search(
     -inf and are never returned unless nothing passes at all.
     """
     fam = family if isinstance(family, Family) else FAMILIES[family]
+    path_grid(grid_n)  # score() below turns every ValueError into -inf
     rng = np.random.Generator(np.random.Philox(seed))
     spans = np.asarray(fam.hi) - np.asarray(fam.lo)
 

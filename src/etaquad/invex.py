@@ -252,9 +252,16 @@ def path_point(emap: EtaMap, u, v, t):
     return u + t * emap(v, u)
 
 
+def path_grid(grid_n: int) -> np.ndarray:
+    """grid_n points t on [0, 1]; both path endpoints must be sampled."""
+    if grid_n < 2:
+        raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    return np.linspace(0.0, 1.0, grid_n)
+
+
 def _grids(dom: Domain, grid_n: int):
+    t = path_grid(grid_n)
     u = dom.grid(grid_n)
-    t = np.linspace(0.0, 1.0, grid_n)
     U = u[:, None, None]
     V = u[None, :, None]
     T = t[None, None, :]

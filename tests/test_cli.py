@@ -2,6 +2,7 @@
 
 import importlib.metadata
 import json
+import shlex
 import shutil
 import subprocess
 import sys
@@ -204,7 +205,7 @@ def test_check_hypothesis_non_finite_sample_is_usage_error(capsys, check):
     # exp(800) overflows inside [0, 1]: the slack would be NaN.
     code, out, err = invoke(
         capsys, "check-hypothesis", "--check", check, "--f", "exp(800*x)",
-        "--a", "1", "--b", "0", "--dom", "0", "1",
+        "--dom", "0", "1",
     )
     assert code == 2
     assert out == ""
@@ -333,6 +334,69 @@ def test_suite_unknown_family(capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize(
+    "argv,config,names",
+    [
+        (("suite", "--trials", "-1"), None, "trials"),
+        (("suite", "--family", "poly6", "--trials", "3", "--grid", "1"), None, "got 1"),
+        (("suite", "--family", "poly6", "--trials", "3", "--grid", "0"), None, "got 0"),
+        (("check-hypothesis", "--check", "preinvex", "--f", "x", "--dom", "0", "1", "--grid", "1"),
+         None, "got 1"),
+        (("check-hypothesis", "--check", "invex-set", "--dom", "0", "1", "--grid", "0"),
+         None, "got 0"),
+        (("verify-identity", "--f", "x", "--a", "1", "--b", "0"), {"tol": "abc"}, "'tol'"),
+        (("suite",), {"trials": "abc"}, "'trials'"),
+        (("suite",), {"trials": 2.5}, "'trials'"),
+        (("bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T3.3"),
+         {"tight": "no"}, "'tight'"),
+        (("check-hypothesis",), {"check": "nope", "dom": [0, 1]}, "'check'"),
+        (("check-hypothesis", "--check", "invex-set"), {"dom": [0]}, "'dom'"),
+        (("integrate", "--f", "x", "--a", "1", "--b", "0"), {"format": "xml"}, "'format'"),
+        (("tournament", "--f", "exp(x)", "--a", "1", "--b", "0", "--q-grid", "0.5"),
+         None, "q = 0.5"),
+    ],
+)
+def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):
+    if config is not None:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(config))
+        argv += ("--config", str(path))
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"etaquad {argv[0]}: ")
+    assert err.count("\n") == 1
+    assert names in err
+
+
+def test_config_values_convert_like_flags(tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({
+        "function": "exp(x)", "a": 1, "b": 0, "tol": 1,
+        "eta": {"kind": "scaled", "lambda": 2.0},
+    }))
+    code, report, _ = invoke_json(capsys, "verify-identity", "--config", str(path))
+    assert code == 0
+    cfg = report["config"]
+    assert all(type(cfg[k]) is float for k in ("a", "b", "tol"))
+    assert (cfg["a"], cfg["b"], cfg["tol"]) == (1.0, 0.0, 1.0)
+    assert cfg["eta"] == {"kind": "scaled", "lambda": 2.0}
+    assert report["result"]["eta_ab"] == 2.0
+    path.write_text(json.dumps({
+        "function": "pow(x,4)", "a": 1, "b": 0, "theorem": "T3.3", "q": 2, "tight": False,
+    }))
+    _, report, _ = invoke_json(capsys, "bound", "--config", str(path))
+    assert report["config"]["tight"] is False
+    _, report, _ = invoke_json(capsys, "bound", "--config", str(path), "--tight")
+    assert report["config"]["tight"] is True
+
+
+def test_check_hypothesis_takes_no_segment_endpoints():
+    with pytest.raises(SystemExit) as exc:
+        run(["check-hypothesis", "--check", "invex-set", "--dom", "0", "1", "--a", "1"])
+    assert exc.value.code == 2
+
+
 # --- tournament ------------------------------------------------------------------
 
 
@@ -362,6 +426,12 @@ def test_tournament_empty_grid(capsys):
 
 
 # --- hh-classical -------------------------------------------------------------
+
+
+def test_hh_classical_scalar_overflow_is_usage_error(capsys):
+    code, out, err = invoke(capsys, "hh-classical", "--f", "pow(x,400)", "--a", "0", "--b", "10")
+    assert (code, out) == (2, "")
+    assert err == "etaquad hh-classical: integrand is inf at x = 10.0\n"
 
 
 def test_hh_classical_exit_codes(capsys):
@@ -411,6 +481,19 @@ def test_csv_flatten_for_scalar_reports(capsys):
     keys = {line.split(",", 1)[0] for line in lines[1:]}
     assert "result.value" in keys
     assert "command" in keys
+
+
+def test_readme_command_line_block_runs(tmp_path, capsys):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command line", 1)[1].split("```", 2)[1]
+    commands = [shlex.split(line) for line in block.splitlines() if line.startswith("etaquad ")]
+    assert len(commands) == 7
+    for _, *argv in commands:
+        if "--out" in argv:
+            i = argv.index("--out") + 1
+            argv[i] = str(tmp_path / argv[i])
+        assert run(argv) == 0, argv
+    capsys.readouterr()
 
 
 # --- process-level entry points ---------------------------------------------------

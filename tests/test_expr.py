@@ -185,6 +185,19 @@ def test_overflow_gives_inf_and_nan_without_warnings():
     assert np.isfinite([j.d0[0], j.d1[0], j.d2[0], j.d3[0]]).all()
 
 
+def test_scalar_integer_power_overflows_to_inf():
+    # A Python float ** int raises OverflowError; the value must be the
+    # one numpy gives for an array, and finite powers keep every bit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert parse("pow(x,400)").value(10.0) == math.inf
+        assert parse("pow(x,401)").value(-10.0) == -math.inf
+        assert parse("pow(x,-400)").value(1e-10) == math.inf
+    assert parse("pow(x,400)").value(np.array([10.0]))[0] == math.inf
+    assert parse("pow(x,7)").value(1.1) == 1.1 ** 7
+    assert type(parse("pow(x,400)").value(10.0)) is float
+
+
 def test_vectorised_domain_error_if_any_point_bad():
     f = parse("log(x)")
     with pytest.raises(DomainError):

@@ -245,3 +245,13 @@ def test_hh_classical_needs_ordered_interval():
 def test_hh_classical_accepts_plain_callables():
     rep = check_hh_classical(lambda x: np.exp(x), 0.0, 1.0)
     assert rep.passed
+
+
+@pytest.mark.parametrize("grid_n", [0, 1])
+def test_path_grid_below_two_is_refused(grid_n):
+    # One sample puts t = 0 in place of the endpoint t = 1; the search
+    # would otherwise score every candidate -inf and return nothing.
+    with pytest.raises(ValueError, match=f"got {grid_n}"):
+        sharpness_search(BoundSpec("T2.1", 2.0), "poly2", iterations=5, grid_n=grid_n)
+    with pytest.raises(ValueError, match=f"got {grid_n}"):
+        run_inequality_suite("poly6", [BoundSpec("T2.1", 2.0)], trials=1, seed=0, grid_n=grid_n)
