@@ -2,132 +2,16 @@
 remainder identities, closed-form third-derivative bounds, certified
 composite integration, and a randomised verification harness."""
 
-from .expr import (
-    KINK_TOL,
-    DomainError,
-    Expression,
-    Jet3,
-    ParseError,
-    parse,
-)
-from .simpson import ConvergenceError, integrate
-from .invex import (
-    DifferenceMap,
-    Domain,
-    EtaMap,
-    EtaMapError,
-    HypothesisReport,
-    PiecewiseSignMap,
-    ScaledMap,
-    TableMap,
-    TablePiece,
-    check_invex_set,
-    check_preinvex,
-    check_prequasiinvex,
-    eta_eval,
-    eta_from_json,
-    path_point,
-)
-from .identity import (
-    IdentityReport,
-    PathSegment,
-    corrected_trapezoid,
-    kernel_integral,
-    kernel_weight,
-    verify_identity,
-)
-from .bounds import (
-    BoundSpec,
-    BoundValue,
-    DerivativeData,
-    HOLDER_BOUNDS,
-    POWER_MEAN_BOUNDS,
-    THEOREM_ORDER,
-    abs_moment,
-    beta_moment,
-    bound,
-    gamma_ratio,
-    holder_weighted_moment,
-    moment_c1,
-    moment_c2,
-)
-from .quadrature import (
-    BudgetError,
-    CertifiedResult,
-    Subinterval,
-    integrate_certified,
-    true_error,
-)
-from .harness import (
-    FAMILIES,
-    CampaignReport,
-    Family,
-    Instance,
-    TrialRow,
-    check_hh_classical,
-    run_inequality_suite,
-    sharpness_search,
-    tournament,
-)
+from . import bounds, expr, harness, identity, invex, quadrature, simpson
+from .expr import *
+from .simpson import *
+from .invex import *
+from .identity import *
+from .bounds import *
+from .quadrature import *
+from .harness import *
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    "KINK_TOL",
-    "DomainError",
-    "Expression",
-    "Jet3",
-    "ParseError",
-    "parse",
-    "ConvergenceError",
-    "integrate",
-    "DifferenceMap",
-    "Domain",
-    "EtaMap",
-    "EtaMapError",
-    "HypothesisReport",
-    "PiecewiseSignMap",
-    "ScaledMap",
-    "TableMap",
-    "TablePiece",
-    "check_invex_set",
-    "check_preinvex",
-    "check_prequasiinvex",
-    "eta_eval",
-    "eta_from_json",
-    "path_point",
-    "IdentityReport",
-    "PathSegment",
-    "corrected_trapezoid",
-    "kernel_integral",
-    "kernel_weight",
-    "verify_identity",
-    "BoundSpec",
-    "BoundValue",
-    "DerivativeData",
-    "HOLDER_BOUNDS",
-    "POWER_MEAN_BOUNDS",
-    "THEOREM_ORDER",
-    "abs_moment",
-    "beta_moment",
-    "bound",
-    "gamma_ratio",
-    "holder_weighted_moment",
-    "moment_c1",
-    "moment_c2",
-    "BudgetError",
-    "CertifiedResult",
-    "Subinterval",
-    "integrate_certified",
-    "true_error",
-    "FAMILIES",
-    "CampaignReport",
-    "Family",
-    "Instance",
-    "TrialRow",
-    "check_hh_classical",
-    "run_inequality_suite",
-    "sharpness_search",
-    "tournament",
-]
+__all__ = ["__version__", *expr.__all__, *simpson.__all__, *invex.__all__, *identity.__all__,
+           *bounds.__all__, *quadrature.__all__, *harness.__all__]

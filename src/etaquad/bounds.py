@@ -18,10 +18,8 @@ import math
 from dataclasses import dataclass
 
 __all__ = [
+    "SELECTORS",
     "THEOREM_ORDER",
-    "COROLLARIES",
-    "POWER_MEAN_BOUNDS",
-    "HOLDER_BOUNDS",
     "BoundSpec",
     "DerivativeData",
     "BoundValue",
@@ -34,13 +32,23 @@ __all__ = [
     "bound",
 ]
 
-# Tie-break order used by the tournament.
-THEOREM_ORDER = ("T2.1", "T2.2", "T2.3", "T3.1", "T3.2", "T3.3")
-COROLLARIES = ("C2.1", "C2.2", "C2.3", "C2.4")
+# selector -> (hypothesis the bound assumes for |f'''|^q along the path,
+# whether it needs q > 1 for the conjugate exponent; q >= 1 otherwise).
+SELECTORS = {
+    "T2.1": ("preinvex", False),
+    "T2.2": ("preinvex", True),
+    "T2.3": ("preinvex", True),
+    "T3.1": ("prequasiinvex", False),
+    "T3.2": ("prequasiinvex", True),
+    "T3.3": ("prequasiinvex", True),
+    "C2.1": ("preinvex", False),
+    "C2.2": ("preinvex", False),
+    "C2.3": ("prequasiinvex", False),
+    "C2.4": ("prequasiinvex", False),
+}
 
-# q >= 1 suffices for these; the rest need q > 1 for the conjugate exponent.
-POWER_MEAN_BOUNDS = ("T2.1", "T3.1", "C2.1", "C2.2", "C2.3", "C2.4")
-HOLDER_BOUNDS = ("T2.2", "T2.3", "T3.2", "T3.3")
+# The six theorems, in the tournament's tie-break order.
+THEOREM_ORDER = tuple(SELECTORS)[:6]
 
 
 @dataclass(frozen=True)
@@ -51,15 +59,20 @@ class BoundSpec:
     q: float = 1.0
 
     def __post_init__(self):
-        if self.theorem not in POWER_MEAN_BOUNDS and self.theorem not in HOLDER_BOUNDS:
+        if self.theorem not in SELECTORS:
             raise ValueError(f"unknown bound selector {self.theorem!r}")
         if not math.isfinite(self.q):
             raise ValueError("q must be finite")
-        if self.theorem in HOLDER_BOUNDS:
+        if SELECTORS[self.theorem][1]:  # needs q > 1
             if self.q <= 1.0:
                 raise ValueError(f"{self.theorem} requires q > 1")
         elif self.q < 1.0:
             raise ValueError(f"{self.theorem} requires q >= 1")
+
+    @property
+    def hypothesis(self) -> str:
+        """What the bound assumes of |f'''|^q: preinvex or prequasiinvex."""
+        return SELECTORS[self.theorem][0]
 
     @property
     def p(self) -> float:

@@ -26,7 +26,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .bounds import BoundSpec, DerivativeData, THEOREM_ORDER, bound
+from .bounds import SELECTORS, THEOREM_ORDER, BoundSpec, DerivativeData, bound
 from .expr import ParseError, parse
 from .harness import (
     CSV_COLUMNS,
@@ -45,7 +45,6 @@ from .invex import (
     check_invex_set,
     check_preinvex,
     check_prequasiinvex,
-    eta_eval,
     eta_from_json,
 )
 from .quadrature import BudgetError, integrate_certified, true_error
@@ -187,6 +186,10 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
+    # A report's config also records the fixed tolerances; it reruns as is.
+    unknown = [k for k in file_cfg if k not in defaults and k != "tolerances"]
+    if unknown:
+        raise UsageError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
     cfg = {}
     for key, default in defaults.items():
         value = getattr(args, key.replace("-", "_"))
@@ -208,7 +211,7 @@ def _cmd_verify_identity(cfg):
     rep = verify_identity(f, seg, tol=cfg["tol"])
     result = rep.to_json()
     result["eta_ab"] = seg.h
-    result["eta_ba"] = float(eta_eval(emap, cfg["b"], cfg["a"]))
+    result["eta_ba"] = float(emap(cfg["b"], cfg["a"]))
     return (0 if rep.passed else 1), result, rep.passed, None
 
 
@@ -220,7 +223,7 @@ def _cmd_bound(cfg):
     data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
     result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
     result["h"] = seg.h
-    result["eta_ba"] = float(eta_eval(emap, cfg["b"], cfg["a"]))
+    result["eta_ba"] = float(emap(cfg["b"], cfg["a"]))
     result["a3"] = data.a3
     result["b3"] = data.b3
     return 0, result, True, None
@@ -314,7 +317,7 @@ OPTIONS = {
                                               "help": "also report the oracle error"}),
     "family": ("--family", {"choices": tuple(FAMILIES) + ("mixed",), "help": "instance family"}),
     "theorems": ("--theorems", {"help": "comma list of bound selectors"}),
-    "theorem": ("--theorem", {"help": "T2.1 T2.2 T2.3 T3.1 T3.2 T3.3 C2.1 C2.2 C2.3 C2.4"}),
+    "theorem": ("--theorem", {"help": " ".join(SELECTORS)}),
     "q": ("--q", {"type": float, "help": "exponent q"}),
     "tight": ("--tight", {"action": "store_const", "const": True,
                           "help": "use the sharpened T3.3 constant"}),

@@ -19,10 +19,10 @@ from typing import Callable
 import numpy as np
 
 from . import simpson
-from .bounds import BoundSpec, DerivativeData, THEOREM_ORDER, bound
+from .bounds import THEOREM_ORDER, BoundSpec, DerivativeData, bound
 from .expr import Expression, parse
 from .identity import PathSegment, corrected_trapezoid
-from .invex import DifferenceMap, EtaMap, HypothesisReport, eta_eval, path_grid
+from .invex import DifferenceMap, EtaMap, HypothesisReport, chord_slack, path_grid
 
 __all__ = [
     "RATIO_SLACK",
@@ -40,6 +40,7 @@ __all__ = [
 
 RATIO_SLACK = 1e-9   # ratio > 1 + this counts as a violation
 GATE_TOL = 1e-9      # normalised slack allowed by the hypothesis gate
+LHS_TOL = 1e-11      # absolute tolerance of the remainder's quadrature
 ZERO_LHS_TOL = 1e-10  # |remainder| under this with a zero bound is a clean 0/0
 
 CSV_COLUMNS = (
@@ -55,20 +56,6 @@ CSV_COLUMNS = (
     "ratio",
     "hypothesis_pass",
 )
-
-# Which sampled hypothesis each bound consumes.
-GATE_KIND = {
-    "T2.1": "preinvex",
-    "T2.2": "preinvex",
-    "T2.3": "preinvex",
-    "C2.1": "preinvex",
-    "C2.2": "preinvex",
-    "T3.1": "prequasiinvex",
-    "T3.2": "prequasiinvex",
-    "T3.3": "prequasiinvex",
-    "C2.3": "prequasiinvex",
-    "C2.4": "prequasiinvex",
-}
 
 
 @dataclass(frozen=True)
@@ -231,26 +218,45 @@ def _safe_ratio(lhs_abs: float, bnd: float) -> float:
     return 0.0 if lhs_abs <= ZERO_LHS_TOL else math.inf
 
 
-def _gate(kind: str, d3_path: np.ndarray, t: np.ndarray, a3: float, b3: float, q: float) -> bool:
+def _gate(
+    hypothesis: str, d3_path: np.ndarray, t: np.ndarray, d: DerivativeData, q: float
+) -> bool:
     """Sampled hypothesis along the path, in the q-th power form the
-    bounds consume: chord (preinvex) or endpoint max (prequasiinvex)."""
-    lhs = d3_path ** q
-    if kind == "preinvex":
-        rhs = t * a3 ** q + (1.0 - t) * b3 ** q
-    else:
-        rhs = np.full_like(lhs, max(a3, b3) ** q)
-    scale = np.maximum(1.0, np.maximum(lhs, rhs))
-    return bool(np.all(lhs <= rhs + GATE_TOL * scale))
+    bounds consume: chord (preinvex) or endpoint max (prequasiinvex).
+    The path runs from b (t = 0) to a (t = 1)."""
+    slack = chord_slack(d3_path ** q, d.b3 ** q, d.a3 ** q, t, hypothesis == "prequasiinvex")
+    return bool(np.max(slack) <= GATE_TOL)
 
 
-def _remainder_and_path(f, b: float, h: float, grid_n: int, lhs_tol: float):
+def _remainder_and_path(f, b: float, h: float, grid_n: int):
     t = path_grid(grid_n)
     seg = PathSegment(b=b, h=h, a=b + h)
     q_value = corrected_trapezoid(f, seg)
-    integral, _ = simpson.integrate(f.value, seg.b, seg.end, tol=lhs_tol)
-    lhs = integral - q_value
+    integral, _ = simpson.integrate(f.value, seg.b, seg.end, tol=LHS_TOL)
     d3_path = np.abs(f.jet3(b + t * h).d3)
-    return seg, lhs, t, d3_path
+    return integral - q_value, t, d3_path
+
+
+def _trial(f, b: float, h: float, specs, grid_n: int):
+    """The remainder over [b, b + h] and, per spec, (bound, ratio, gate
+    passed), with A and B read at the path ends."""
+    lhs, t, d3_path = _remainder_and_path(f, b, h, grid_n)
+    data = DerivativeData(float(d3_path[-1]), float(d3_path[0]))  # t = 1 is a = b + h
+    out = []
+    for spec in specs:
+        bnd = bound(spec, h, data).value
+        ok = _gate(spec.hypothesis, d3_path, t, data, spec.q)
+        out.append((bnd, _safe_ratio(abs(lhs), bnd), ok))
+    return lhs, out
+
+
+def _tally(gated: list[TrialRow]) -> dict:
+    """Gate passes, violations and the largest ratio among gated rows."""
+    return {
+        "hypothesis_passed": len(gated),
+        "violations": sum(r.ratio > 1.0 + RATIO_SLACK for r in gated),
+        "max_ratio": max([0.0] + [r.ratio for r in gated]),
+    }
 
 
 def _pick(family, rng: np.random.Generator) -> Family:
@@ -267,87 +273,44 @@ def run_inequality_suite(
     trials: int,
     seed: int,
     grid_n: int = 65,
-    lhs_tol: float = 1e-11,
 ) -> CampaignReport:
     """Draw ``trials`` instances and hold each against every spec.
 
     ``family`` is a Family, a FAMILIES key, or "mixed".  Difference-map
     segments a = b + h are used throughout, so the path endpoints are the
     bound endpoints.  Per-instance work (remainder, derivative grid) is
-    shared across specs.
+    shared across specs.  The argmax is the first gated row with the
+    largest positive ratio.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
     rows: list[TrialRow] = []
-    per_spec = {
-        id(s): {"theorem": s.theorem, "q": s.q, "hypothesis_passed": 0, "violations": 0, "max_ratio": 0.0}
-        for s in specs
-    }
-    passed_total = 0
-    violations = 0
-    max_ratio = 0.0
-    argmax = None
-
+    sources = []
     for trial in range(trials):
         fam = _pick(family, rng)
         f, b, h = fam.build(fam.sample(rng))
-        seg, lhs, t, d3_path = _remainder_and_path(f, b, h, grid_n, lhs_tol)
-        a3 = float(d3_path[-1])  # path endpoint t=1 is a = b + h
-        b3 = float(d3_path[0])
-        data = DerivativeData(a3, b3)
-        lhs_abs = abs(lhs)
+        lhs, results = _trial(f, b, h, specs, grid_n)
+        sources.append(f.source)
+        rows += [
+            TrialRow(trial, fam.name, b + h, b, h, s.theorem, s.q, lhs, bnd, ratio, ok)
+            for s, (bnd, ratio, ok) in zip(specs, results)
+        ]
 
-        for spec in specs:
-            ok = _gate(GATE_KIND[spec.theorem], d3_path, t, a3, b3, spec.q)
-            bnd = bound(spec, h, data).value
-            ratio = _safe_ratio(lhs_abs, bnd)
-            rows.append(
-                TrialRow(trial, fam.name, seg.a, b, h, spec.theorem, spec.q, lhs, bnd, ratio, ok)
-            )
-            if not ok:
-                continue
-            passed_total += 1
-            stats = per_spec[id(spec)]
-            stats["hypothesis_passed"] += 1
-            if ratio > 1.0 + RATIO_SLACK:
-                violations += 1
-                stats["violations"] += 1
-            if ratio > stats["max_ratio"]:
-                stats["max_ratio"] = ratio
-            if ratio > max_ratio:
-                max_ratio = ratio
-                argmax = {
-                    "trial": trial,
-                    "family": fam.name,
-                    "f": f.source,
-                    "a": seg.a,
-                    "b": b,
-                    "h": h,
-                    "theorem": spec.theorem,
-                    "q": spec.q,
-                    "lhs": lhs,
-                    "bound": bnd,
-                    "ratio": ratio,
-                }
-
-    return CampaignReport(
-        trials=len(rows),
-        hypothesis_passed=passed_total,
-        violations=violations,
-        max_ratio=max_ratio,
-        argmax=argmax,
-        table=[per_spec[id(s)] for s in specs],
-        rows=rows,
-    )
+    gated = [r for r in rows if r.hypothesis_pass]
+    table = []
+    for k, s in enumerate(specs):  # spec k owns every len(specs)-th row from row k
+        own = [r for r in rows[k :: len(specs)] if r.hypothesis_pass]
+        table.append({"theorem": s.theorem, "q": s.q, **_tally(own)})
+    peak = max((r for r in gated if r.ratio > 0.0), key=lambda r: r.ratio, default=None)
+    argmax = None
+    if peak is not None:
+        argmax = {"trial": peak.trial, "family": peak.family, "f": sources[peak.trial]}
+        argmax.update((k, getattr(peak, k)) for k in CSV_COLUMNS[2:-1])
+    return CampaignReport(trials=len(rows), **_tally(gated), argmax=argmax, table=table, rows=rows)
 
 
-def tournament(
-    instance: Instance,
-    q_grid: list[float],
-    grid_n: int = 65,
-    lhs_tol: float = 1e-11,
-) -> list[dict]:
+def tournament(instance: Instance, q_grid: list[float], grid_n: int = 65) -> list[dict]:
     """All six bound variants per q, with the minimiser marked.
 
     Rows also carry the sampled hypothesis verdicts so a winning bound can
@@ -355,8 +318,8 @@ def tournament(
     earliest variant in THEOREM_ORDER.
     """
     f = instance.f
-    h = float(eta_eval(instance.emap, instance.a, instance.b))
-    _, lhs, t, d3_path = _remainder_and_path(f, instance.b, h, grid_n, lhs_tol)
+    h = float(instance.emap(instance.a, instance.b))
+    lhs, t, d3_path = _remainder_and_path(f, instance.b, h, grid_n)
     lhs_abs = abs(lhs)
     data = DerivativeData.from_function(f, instance.a, instance.b)
 
@@ -381,8 +344,8 @@ def tournament(
                 "winner": winner,
                 "lhs": lhs_abs,
                 "ratio_winner": _safe_ratio(lhs_abs, values[winner]),
-                "preinvex_pass": _gate("preinvex", d3_path, t, data.a3, data.b3, q),
-                "prequasiinvex_pass": _gate("prequasiinvex", d3_path, t, data.a3, data.b3, q),
+                "preinvex_pass": _gate("preinvex", d3_path, t, data, q),
+                "prequasiinvex_pass": _gate("prequasiinvex", d3_path, t, data, q),
             }
         )
     return out
@@ -394,7 +357,6 @@ def sharpness_search(
     iterations: int = 300,
     seed: int = 0,
     grid_n: int = 65,
-    lhs_tol: float = 1e-11,
 ) -> tuple[Instance | None, float]:
     """Coordinate-ascent search for the largest hypothesis-passing ratio.
 
@@ -412,19 +374,12 @@ def sharpness_search(
     def score(params):
         try:
             f, b, h = fam.build(params)
-            _, lhs, t, d3_path = _remainder_and_path(f, b, h, grid_n, lhs_tol)
+            _, [(_, ratio, ok)] = _trial(f, b, h, [spec], grid_n)
         except (ValueError, simpson.ConvergenceError):
             return -math.inf, None
-        a3 = float(d3_path[-1])
-        b3 = float(d3_path[0])
-        if not _gate(GATE_KIND[spec.theorem], d3_path, t, a3, b3, spec.q):
+        if not ok or math.isinf(ratio):
             return -math.inf, None
-        bnd = bound(spec, h, DerivativeData(a3, b3)).value
-        ratio = _safe_ratio(abs(lhs), bnd)
-        if math.isinf(ratio):
-            return -math.inf, None
-        inst = Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec)
-        return ratio, inst
+        return ratio, Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec)
 
     best_ratio = -math.inf
     best_instance = None

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import simpson
-from .invex import EtaMap, eta_eval
+from .invex import EtaMap
 
 __all__ = [
     "kernel_weight",
@@ -30,6 +30,8 @@ __all__ = [
     "kernel_integral",
     "verify_identity",
 ]
+
+REL_TOL = 1e-9  # relative part of the identity comparison
 
 
 def kernel_weight(t):
@@ -57,7 +59,7 @@ class PathSegment:
 
     @classmethod
     def from_eta(cls, emap: EtaMap, a: float, b: float) -> "PathSegment":
-        return cls(b=float(b), h=float(eta_eval(emap, a, b)), a=float(a))
+        return cls(b=float(b), h=float(emap(a, b)), a=float(a))
 
     @property
     def end(self) -> float:
@@ -104,12 +106,10 @@ def kernel_integral(f, seg: PathSegment, tol: float = 1e-12) -> float:
     return value
 
 
-def verify_identity(
-    f, seg: PathSegment, tol: float = 1e-10, tol_rel: float = 1e-9
-) -> IdentityReport:
+def verify_identity(f, seg: PathSegment, tol: float = 1e-10) -> IdentityReport:
     """Evaluate both sides of the remainder identity and compare.
 
-    Passes when |lhs - rhs| <= max(tol, tol_rel * max(|lhs|, |rhs|)).  Both
+    Passes when |lhs - rhs| <= max(tol, REL_TOL * max(|lhs|, |rhs|)).  Both
     quadratures run at tol/10 so the comparison is not dominated by the
     oracle's own error.
     """
@@ -124,7 +124,7 @@ def verify_identity(
     rhs = factor * kernel
 
     abs_diff = abs(lhs - rhs)
-    passed = abs_diff <= max(tol, tol_rel * max(abs(lhs), abs(rhs)))
+    passed = abs_diff <= max(tol, REL_TOL * max(abs(lhs), abs(rhs)))
     return IdentityReport(
         lhs=lhs,
         rhs=rhs,

@@ -32,8 +32,7 @@ __all__ = [
     "eta_from_json",
     "Domain",
     "HypothesisReport",
-    "eta_eval",
-    "path_point",
+    "chord_slack",
     "check_invex_set",
     "check_preinvex",
     "check_prequasiinvex",
@@ -204,12 +203,10 @@ def eta_from_json(obj: dict) -> EtaMap:
 
 @dataclass(frozen=True)
 class Domain:
-    """A closed interval [lo, hi].  ``unbounded`` marks the interval as a
-    sampling proxy for the whole line rather than a hard membership set."""
+    """A closed interval [lo, hi]."""
 
     lo: float
     hi: float
-    unbounded: bool = False
 
     def __post_init__(self):
         if not (np.isfinite(self.lo) and np.isfinite(self.hi) and self.lo < self.hi):
@@ -240,16 +237,6 @@ class HypothesisReport:
             "worst_slack": self.worst_slack,
             "witness": list(self.witness) if self.witness is not None else None,
         }
-
-
-def eta_eval(emap: EtaMap, v, u):
-    """eta(v, u): the displacement that points from u toward v."""
-    return emap(v, u)
-
-
-def path_point(emap: EtaMap, u, v, t):
-    """u + t*eta(v, u), the path position at parameter t."""
-    return u + t * emap(v, u)
 
 
 def path_grid(grid_n: int) -> np.ndarray:
@@ -287,9 +274,9 @@ def check_invex_set(
 ) -> HypothesisReport:
     """Does every sampled path u -> v stay inside ``dom``?
 
-    Endpoints u, v are drawn from ``sample`` (default: dom itself), which
-    matters when dom is an unbounded proxy.  Slack is the absolute distance
-    a path point escapes [dom.lo, dom.hi].
+    Endpoints u, v are drawn from ``sample`` (default: dom itself), so
+    paths from a small box can be checked against a larger domain.  Slack
+    is the absolute distance a path point escapes [dom.lo, dom.hi].
     """
     box = sample if sample is not None else dom
     u, t, U, V, T = _grids(box, grid_n)
@@ -309,19 +296,23 @@ def _sample(f, x: np.ndarray) -> np.ndarray:
     return y
 
 
+def chord_slack(fpath, fu, fv, t, quasi: bool):
+    """Normalised excess of f on the path over the chord (1-t)f(u) + t*f(v),
+    or over max(f(u), f(v)) when ``quasi``; positive where the hypothesis
+    fails.  Arguments broadcast."""
+    rhs = np.maximum(fu, fv) if quasi else (1.0 - t) * fu + t * fv
+    # The scale first, so its temporaries are freed before the difference
+    # exists: one full-grid array fewer at the peak.
+    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(fpath)))
+    return (fpath - rhs) / scale
+
+
 def _chord_check(f, emap, dom, grid_n, tol, quasi: bool) -> HypothesisReport:
     u, t, U, V, T = _grids(dom, grid_n)
     fu = _sample(f, u)
     path = U + T * emap(V, U)
     fpath = _sample(f, path)
-    left = fu[:, None, None]
-    right = fu[None, :, None]
-    if quasi:
-        rhs = np.maximum(left, right)
-    else:
-        rhs = (1.0 - T) * left + T * right
-    scale = np.maximum(1.0, np.maximum(np.abs(rhs), np.abs(fpath)))
-    slack = (fpath - rhs) / scale
+    slack = chord_slack(fpath, fu[:, None, None], fu[None, :, None], T, quasi)
     return _verdict(slack, u, t, tol)
 
 

@@ -6,7 +6,8 @@ vectorised call.  Acceptance is by the Richardson-extrapolated discrepancy
 against a width-proportional share of the absolute tolerance, so the
 accepted local errors sum to at most the requested tolerance under the
 usual smoothness heuristics.  A non-finite value is never accepted, so it
-raises ConvergenceError at once, as do more than MAX_LIVE pending intervals.
+raises ConvergenceError at once, as do more than MAX_LIVE pending intervals
+and any interval still pending after MAX_DEPTH bisections.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import numpy as np
 
 __all__ = ["ConvergenceError", "integrate"]
 
+MAX_DEPTH = 40
 MAX_LIVE = 1 << 20
 
 
@@ -27,7 +29,6 @@ def integrate(
     lo: float,
     hi: float,
     tol: float = 1e-12,
-    max_depth: int = 40,
     min_depth: int = 2,
 ) -> tuple[float, float]:
     """Signed integral of ``fn`` over [lo, hi].
@@ -52,7 +53,7 @@ def integrate(
 
     value = 0.0
     estimate = 0.0
-    for depth in range(max_depth + 1):
+    for depth in range(MAX_DEPTH + 1):
         if left.size == 0:
             break
         n = left.size
@@ -84,7 +85,7 @@ def integrate(
             raise ConvergenceError(f"{left.size} intervals pending, above {MAX_LIVE}")
     if left.size:
         raise ConvergenceError(
-            f"{left.size} interval(s) still above tolerance after depth {max_depth}"
+            f"{left.size} interval(s) still above tolerance after depth {MAX_DEPTH}"
         )
     return sign * value, estimate
 

@@ -14,6 +14,7 @@ import pytest
 from etaquad import (
     BoundSpec,
     DerivativeData,
+    SELECTORS,
     THEOREM_ORDER,
     abs_moment,
     beta_moment,
@@ -120,6 +121,24 @@ def test_spec_validation():
         BoundSpec("T2.1", 1.0).p
     spec = BoundSpec("T3.3", 4.0)
     assert BoundSpec.from_json(spec.to_json()) == spec
+
+
+def test_selectors_cover_the_ten_bounds():
+    preinvex = ("T2.1", "T2.2", "T2.3", "C2.1", "C2.2")
+    prequasiinvex = ("T3.1", "T3.2", "T3.3", "C2.3", "C2.4")
+    assert set(SELECTORS) == set(preinvex + prequasiinvex)
+    assert THEOREM_ORDER == ("T2.1", "T2.2", "T2.3", "T3.1", "T3.2", "T3.3")
+    for thm in SELECTORS:
+        want = "preinvex" if thm in preinvex else "prequasiinvex"
+        assert BoundSpec(thm, 2.0).hypothesis == want
+    refused_at_q1 = set()
+    for thm in SELECTORS:
+        try:
+            BoundSpec(thm, 1.0)
+        except ValueError as exc:
+            assert str(exc) == f"{thm} requires q > 1"
+            refused_at_q1.add(thm)
+    assert refused_at_q1 == {"T2.2", "T2.3", "T3.2", "T3.3"}
 
 
 def test_derivative_data():

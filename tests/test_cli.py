@@ -354,6 +354,9 @@ def test_suite_unknown_family(capsys):
         (("integrate", "--f", "x", "--a", "1", "--b", "0"), {"format": "xml"}, "'format'"),
         (("tournament", "--f", "exp(x)", "--a", "1", "--b", "0", "--q-grid", "0.5"),
          None, "q = 0.5"),
+        (("integrate", "--f", "x", "--a", "1", "--b", "0"), {"fixed_n": 16}, "'fixed_n'"),
+        (("bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T2.1"),
+         {"seed": 3}, "'seed'"),
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):
@@ -458,6 +461,28 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert code == 0
     assert report["config"]["q"] == 1.0
     assert report["result"]["value"] == pytest.approx(0.0625, rel=1e-12)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-identity", "--f", "pow(x,4)", "--a", "1", "--b", "0", "--eta", "scaled:2"),
+        ("bound", "--f", "exp(x)", "--a", "1", "--b", "0", "--theorem", "T3.3", "--q", "3",
+         "--tight"),
+        ("check-hypothesis", "--check", "invex-set", "--eta", "scaled:3", "--dom", "0", "1",
+         "--sample", "0", "0.5", "--grid", "9"),
+        ("integrate", "--f", "sin(x)", "--a", "2", "--b", "0", "--with-true-error"),
+        ("suite", "--family", "mixed", "--trials", "4", "--seed", "3", "--grid", "9"),
+        ("tournament", "--f", "exp(2*x)", "--a", "1", "--b", "0"),
+        ("hh-classical", "--f", "exp(x)", "--a", "0", "--b", "1", "--grid", "9"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_report_config_reruns_the_command(tmp_path, capsys, argv):
+    code, out, _ = invoke(capsys, *argv)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(json.loads(out)["config"]))
+    assert invoke(capsys, argv[0], "--config", str(path)) == (code, out, "")
 
 
 def test_config_file_errors(tmp_path, capsys):

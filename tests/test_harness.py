@@ -17,7 +17,7 @@ from etaquad import (
     sharpness_search,
     tournament,
 )
-from etaquad.harness import CSV_COLUMNS, GATE_KIND, TrialRow, _clamp_h, _safe_ratio
+from etaquad.harness import CSV_COLUMNS, TrialRow, _clamp_h, _safe_ratio
 
 SIX = [BoundSpec(t, 2.0) for t in THEOREM_ORDER]
 
@@ -30,12 +30,6 @@ def test_safe_ratio_conventions():
     assert _safe_ratio(1e-11, 0.0) == 0.0
     assert _safe_ratio(1.0, 0.0) == math.inf
     assert _safe_ratio(3.0, 1.5) == 2.0
-
-
-def test_gate_kind_covers_all_selectors():
-    assert set(GATE_KIND) == {
-        "T2.1", "T2.2", "T2.3", "T3.1", "T3.2", "T3.3", "C2.1", "C2.2", "C2.3", "C2.4",
-    }
 
 
 def test_h_clamp():
@@ -120,8 +114,17 @@ def test_per_spec_table_consistent():
     # oscillatory third derivatives do fail the chord gate somewhere
     assert rep.hypothesis_passed < 40 * len(SIX)
     # quasi gates (endpoint max) also fail when an interior peak exceeds both ends
-    quasi = [e for e in rep.table if GATE_KIND[e["theorem"]] == "prequasiinvex"]
+    quasi = [e for e, s in zip(rep.table, SIX) if s.hypothesis == "prequasiinvex"]
     assert any(e["hypothesis_passed"] < 40 for e in quasi)
+
+
+def test_repeated_spec_object_keeps_its_own_table_entry():
+    s = SIX[3]
+    once = run_inequality_suite("trig", [s], 40, 5)
+    twice = run_inequality_suite("trig", [s, s], 40, 5)
+    assert twice.table == [once.table[0], once.table[0]]
+    assert twice.hypothesis_passed == 2 * once.hypothesis_passed
+    assert sum(e["hypothesis_passed"] for e in twice.table) == twice.hypothesis_passed
 
 
 def test_mixed_family_draws_from_pool():

@@ -17,10 +17,8 @@ from etaquad import (
     check_invex_set,
     check_preinvex,
     check_prequasiinvex,
-    eta_eval,
     eta_from_json,
     parse,
-    path_point,
 )
 
 
@@ -30,7 +28,7 @@ from etaquad import (
 def test_difference_map():
     m = DifferenceMap()
     assert m(3.0, 1.0) == 2.0
-    assert eta_eval(m, 1.0, 3.0) == -2.0
+    assert m(1.0, 3.0) == -2.0
     out = m(np.array([1.0, 2.0]), np.array([0.5, 0.5]))
     assert np.allclose(out, [0.5, 1.5])
 
@@ -101,8 +99,6 @@ def test_domain_and_path_point():
         Domain(1.0, 1.0)
     with pytest.raises(ValueError):
         Domain(2.0, 1.0)
-    assert path_point(DifferenceMap(), 1.0, 3.0, 0.5) == 2.0
-    assert path_point(ScaledMap(2.0), 1.0, 3.0, 0.5) == 3.0
 
 
 # --- invex set check -------------------------------------------------------
@@ -130,7 +126,7 @@ def test_contractive_scaled_map_passes():
 
 def test_sample_box_for_unbounded_proxy():
     # paths sampled from a smaller box may stay inside a larger domain
-    dom = Domain(-10.0, 10.0, unbounded=True)
+    dom = Domain(-10.0, 10.0)
     rep = check_invex_set(ScaledMap(3.0), dom, grid_n=9, sample=Domain(-1.0, 1.0))
     assert rep.passed
 
