@@ -7,6 +7,9 @@ h^4.  The T2.x family assumes |f'''|^q is preinvex along the path and uses
 a power mean of (A, B); the T3.x family assumes prequasiinvexity and uses
 max(A, B).  The C2.x values are the straight-line corollaries.
 
+``bound`` takes h, A and B as floats or as arrays with one entry per
+segment; an array entry gets the bits a float would.
+
 Every prefactor decomposes into moments of the weight w(t) = t(1-t)(2t-1)
 that are also exposed individually, so each closed form can be cross-
 checked against quadrature.
@@ -16,6 +19,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 __all__ = [
     "SELECTORS",
@@ -91,15 +96,16 @@ class BoundSpec:
 
 @dataclass(frozen=True)
 class DerivativeData:
-    """Endpoint third-derivative magnitudes A = |f'''(a)|, B = |f'''(b)|."""
+    """Endpoint third-derivative magnitudes A = |f'''(a)|, B = |f'''(b)|,
+    as floats or as arrays with one entry per segment."""
 
     a3: float
     b3: float
 
     def __post_init__(self):
-        if not (math.isfinite(self.a3) and math.isfinite(self.b3)):
+        if not (_all(np.isfinite(self.a3)) and _all(np.isfinite(self.b3))):
             raise ValueError("derivative magnitudes must be finite")
-        if self.a3 < 0.0 or self.b3 < 0.0:
+        if not (_all(self.a3 >= 0.0) and _all(self.b3 >= 0.0)):
             raise ValueError("derivative magnitudes must be nonnegative")
 
     @classmethod
@@ -168,33 +174,55 @@ def gamma_ratio(p: float) -> float:
     return math.exp(math.lgamma(1.0 + p) - math.lgamma(1.5 + p))
 
 
-def _power_mean(a: float, b: float, q: float) -> float:
+def _all(flags) -> bool:
+    """Whether a flag, or every flag of an array, is set; a float's flag
+    skips numpy's reduction, which costs more than the test."""
+    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
+
+
+def _maximum(a, b):
+    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
+
+
+def scalar_pow(base, exponent):
+    """base ** exponent as Python computes it for a float, element by
+    element for an array: numpy's vectorised power can differ from the C
+    library's pow in the last place, and a batch must give the bits of one
+    call per segment."""
+    if isinstance(base, np.ndarray):
+        return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
+    return base ** exponent
+
+
+def _power_mean(a, b, q: float):
+    mean = scalar_pow((scalar_pow(a, q) + scalar_pow(b, q)) / 2.0, 1.0 / q)
     # Exact at a == b: skip the pow round trip so symmetric data gives
     # bit-identical T2.1 and T3.1 values.
-    if a == b:
-        return a
-    return ((a ** q + b ** q) / 2.0) ** (1.0 / q)
+    if isinstance(mean, np.ndarray):
+        return np.where(a == b, a, mean)
+    return a if a == b else mean
 
 
-def bound(spec: BoundSpec, h: float, d: DerivativeData, tight: bool = False) -> BoundValue:
+def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundValue:
     """Evaluate the selected bound for displacement ``h`` and data ``d``.
 
-    ``tight`` applies only to T3.3: the printed constant h^4/48*(...) can be
-    sharpened by 2^(-1/p) by splitting the weight integral at t = 1/2; the
-    default reproduces the printed form.
+    ``h``, ``d.a3`` and ``d.b3`` broadcast; the value is a float when all
+    three are floats.  ``tight`` applies only to T3.3: the printed constant
+    h^4/48*(...) can be sharpened by 2^(-1/p) by splitting the weight
+    integral at t = 1/2; the default reproduces the printed form.
     """
-    if not math.isfinite(h):
+    if not _all(np.isfinite(h)):
         raise ValueError("displacement h must be finite")
     if tight and spec.theorem != "T3.3":
         raise ValueError("tight variant exists only for T3.3")
 
-    h4 = h ** 4
+    h4 = scalar_pow(h, 4)
     A, B = d.a3, d.b3
     q = spec.q
     thm = spec.theorem
 
     if thm in ("T2.1", "C2.2"):
-        mean = _power_mean(A, B, q)
+        value = h4 / 192.0 * _power_mean(A, B, q)
         constants = {
             "kernel_moment": moment_c1(),
             "weighted_kernel_moments": moment_c2(),
@@ -204,83 +232,57 @@ def bound(spec: BoundSpec, h: float, d: DerivativeData, tight: bool = False) -> 
             # The printed corollary constant 1/384 agrees with the power
             # mean form only at q = 1; the power mean form is what holds.
             constants["printed_q1_prefactor"] = 1.0 / 384.0
-        return BoundValue(h4 / 192.0 * mean, spec, constants)
-
-    if thm == "C2.1":
-        return BoundValue(
-            h4 / 384.0 * (A + B),
-            spec,
-            {"weighted_kernel_moments": moment_c2(), "prefactor": 1.0 / 384.0},
-        )
-
-    if thm in ("T3.1", "C2.3", "C2.4"):
-        return BoundValue(
-            h4 / 192.0 * max(A, B),
-            spec,
-            {"kernel_moment": moment_c1(), "prefactor": 1.0 / 192.0},
-        )
-
-    p = spec.p
-    if thm == "T2.2":
-        prefactor = 1.0 / (24.0 * 6.0 ** (1.0 / q))
-        value = (
-            h4
-            * prefactor
-            * ((p + 1.0) * (p + 3.0)) ** (-1.0 / p)
-            * (A ** q + B ** q) ** (1.0 / q)
-        )
-        return BoundValue(
-            value,
-            spec,
-            {"holder_weighted_moment": holder_weighted_moment(p), "prefactor": prefactor},
-        )
-
-    if thm == "T3.2":
-        prefactor = 1.0 / (24.0 * 3.0 ** (1.0 / q))
-        value = h4 * prefactor * ((p + 1.0) * (p + 3.0)) ** (-1.0 / p) * max(A, B)
-        return BoundValue(
-            value,
-            spec,
-            {"holder_weighted_moment": holder_weighted_moment(p), "prefactor": prefactor},
-        )
-
-    gr = gamma_ratio(p)
-    if thm == "T2.3":
+    elif thm == "C2.1":
+        value = h4 / 384.0 * (A + B)
+        constants = {"weighted_kernel_moments": moment_c2(), "prefactor": 1.0 / 384.0}
+    elif thm in ("T3.1", "C2.3", "C2.4"):
+        value = h4 / 192.0 * _maximum(A, B)
+        constants = {"kernel_moment": moment_c1(), "prefactor": 1.0 / 192.0}
+    elif thm in ("T2.2", "T3.2"):
+        p = spec.p
+        if thm == "T2.2":
+            prefactor = 1.0 / (24.0 * 6.0 ** (1.0 / q))
+            ends = scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
+        else:
+            prefactor = 1.0 / (24.0 * 3.0 ** (1.0 / q))
+            ends = _maximum(A, B)
+        value = h4 * prefactor * ((p + 1.0) * (p + 3.0)) ** (-1.0 / p) * ends
+        constants = {"holder_weighted_moment": holder_weighted_moment(p), "prefactor": prefactor}
+    elif thm == "T2.3":
+        p = spec.p
+        gr = gamma_ratio(p)
         value = (
             h4
             / 96.0
             * math.sqrt(math.pi) ** (1.0 / p)
             * gr ** (1.0 / p)
             * (q + 1.0) ** (-1.0 / q)
-            * (A ** q + B ** q) ** (1.0 / q)
+            * scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
         )
-        return BoundValue(
-            value,
-            spec,
-            {
-                "beta_moment": beta_moment(p),
-                "abs_moment": abs_moment(q),
-                "gamma_ratio": gr,
-                "prefactor": 1.0 / 96.0,
-            },
+        constants = {
+            "beta_moment": beta_moment(p),
+            "abs_moment": abs_moment(q),
+            "gamma_ratio": gr,
+            "prefactor": 1.0 / 96.0,
+        }
+    else:  # T3.3
+        p = spec.p
+        gr = gamma_ratio(p)
+        value = (
+            h4
+            / 48.0
+            * math.sqrt(math.pi) ** (1.0 / p)
+            * gr ** (1.0 / p)
+            * (q + 1.0) ** (-1.0 / q)
+            * _maximum(A, B)
         )
-
-    # T3.3
-    value = (
-        h4
-        / 48.0
-        * math.sqrt(math.pi) ** (1.0 / p)
-        * gr ** (1.0 / p)
-        * (q + 1.0) ** (-1.0 / q)
-        * max(A, B)
-    )
-    constants = {
-        "beta_moment": beta_moment(p),
-        "kernel_abs_moment": 1.0 / (q + 1.0),
-        "gamma_ratio": gr,
-        "prefactor": 1.0 / 48.0,
-        "tight_factor": 2.0 ** (-1.0 / p),
-    }
-    if tight:
-        value *= 2.0 ** (-1.0 / p)
-    return BoundValue(value, spec, constants)
+        constants = {
+            "beta_moment": beta_moment(p),
+            "kernel_abs_moment": 1.0 / (q + 1.0),
+            "gamma_ratio": gr,
+            "prefactor": 1.0 / 48.0,
+            "tight_factor": 2.0 ** (-1.0 / p),
+        }
+        if tight:
+            value *= 2.0 ** (-1.0 / p)
+    return BoundValue(value if isinstance(value, np.ndarray) else float(value), spec, constants)

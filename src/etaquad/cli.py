@@ -270,7 +270,8 @@ def _cmd_suite(cfg):
         cfg["family"], specs, trials=cfg["trials"], seed=cfg["seed"], grid_n=cfg["grid"]
     )
     passed = report.violations == 0
-    return (0 if passed else 1), report.to_json(), passed, [row.to_json() for row in report.rows]
+    result = report.to_json()
+    return (0 if passed else 1), result, passed, result["rows"]
 
 
 def _cmd_tournament(cfg):

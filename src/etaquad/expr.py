@@ -6,18 +6,23 @@ Grammar (no implicit multiplication, ``pow`` takes a constant exponent):
     term   := factor (('*'|'/') factor)*
     factor := '-'? atom
     atom   := NUMBER | IDENT | IDENT '(' expr (',' expr)? ')' | '(' expr ')'
-    IDENT  := x | t | exp | log | sin | cos | abs | pow
+    IDENT  := x | t | exp | log | sin | cos | abs | pow | a parameter name
 
 ``x`` and ``t`` are two spellings of the single free variable.  Numbers are
 unsigned decimals with an optional exponent part; negative constants are
-written with the unary minus.
+written with the unary minus, which folds into a number it directly
+precedes.  ``parse`` may also declare named parameters, such as ``c`` and
+``lam`` in ``c*exp(lam*x)``; ``value`` and ``jet3`` then bind each name to
+a number or to an array that broadcasts against ``x``, so one tape serves
+a whole batch of parameter draws.
 
 The parser emits a flat tape: a tuple of ``(op, const)`` entries in
-evaluation (postfix) order, where ``const`` holds a number or a ``pow``
-exponent.  Every result is read once, by the next entry that needs it, so
-an entry's arguments are always the top of a stack and the entries of any
-subexpression form a tape of their own.  One loop runs the tape for
-values and for jets, and each primitive is written once.
+evaluation (postfix) order, where ``const`` holds a number, a ``pow``
+exponent or a parameter's index.  Every result is read once, by the next
+entry that needs it, so an entry's arguments are always the top of a
+stack and the entries of any subexpression form a tape of their own.  One
+loop runs the tape for values and for jets, and each primitive is written
+once.
 
 Evaluation is numpy-vectorised: passing an ndarray evaluates elementwise
 and returns arrays of the input shape.  Scalar inputs return plain floats.
@@ -256,10 +261,11 @@ _UNARY = {
 
 
 @np.errstate(all="ignore")
-def _run(tape, x, jet: bool):
-    """Run the tape at x; returns a value or a Jet3.  Overflow and invalid
-    operations give inf and nan without a warning; the callers that need
-    finite numbers check for them."""
+def _run(tape, x, jet: bool, args=()):
+    """Run the tape at x with the parameter values ``args``; returns a
+    value or a Jet3.  Overflow and invalid operations give inf and nan
+    without a warning; the callers that need finite numbers check for
+    them."""
     var = Jet3.variable(x) if jet else x
     stack = []
     for op, c in tape:
@@ -271,7 +277,8 @@ def _run(tape, x, jet: bool):
         elif op == "var":
             stack.append(var)
         else:
-            stack.append(Jet3.constant(c) if jet else c)
+            value = args[c] if op == "param" else c
+            stack.append(Jet3.constant(value) if jet else value)
     return stack.pop()
 
 
@@ -287,6 +294,7 @@ _TOKEN_RE = re.compile(
 
 _FUNCTIONS = {"exp": 1, "log": 1, "sin": 1, "cos": 1, "abs": 1, "pow": 2}
 _VARIABLES = ("x", "t")
+_NAME_RE = re.compile(r"[A-Za-z_][A-Za-z_0-9]*")
 
 
 @dataclass(frozen=True)
@@ -317,10 +325,11 @@ def _tokenize(text: str) -> list[_Token]:
 class _Parser:
     """Emits tape entries as it parses, each operation after its arguments."""
 
-    def __init__(self, text: str):
+    def __init__(self, text: str, params: tuple):
         self.tokens = _tokenize(text)
         self.i = 0
         self.tape = []
+        self.params = {name: k for k, name in enumerate(params)}
 
     def peek(self) -> _Token:
         return self.tokens[self.i]
@@ -354,12 +363,17 @@ class _Parser:
             self.tape.append((op, None))
 
     def factor(self) -> None:
-        if self.peek().kind == "-":
+        if self.peek().kind != "-":
+            self.atom()
+        elif self.tokens[self.i + 1].kind == "number":
+            # A negative literal is one constant, so "(-1.5)" runs as a
+            # parameter bound to -1.5 does, jets included.
+            self.advance()
+            self.tape.append(("const", -float(self.advance().text)))
+        else:
             self.advance()
             self.atom()
             self.tape.append(("neg", None))
-        else:
-            self.atom()
 
     def atom(self) -> None:
         tok = self.advance()
@@ -377,10 +391,10 @@ class _Parser:
 
     def _ident(self, tok: _Token) -> None:
         name = tok.text
-        if name in _VARIABLES:
+        if name in _VARIABLES or name in self.params:
             if self.peek().kind == "(":
                 raise ParseError(self.peek().pos, f"'{name}' is not a function")
-            self.tape.append(("var", None))
+            self.tape.append(("var", None) if name in _VARIABLES else ("param", self.params[name]))
             return
         if name not in _FUNCTIONS:
             raise ParseError(tok.pos, f"unknown identifier '{name}'")
@@ -407,7 +421,7 @@ class _Parser:
             pos, start = args[1]
             exponent = tuple(self.tape[start:])
             del self.tape[start:]
-            if any(op == "var" for op, _ in exponent):
+            if any(op in ("var", "param") for op, _ in exponent):
                 raise ParseError(pos, "pow exponent must be a constant")
             try:
                 r = float(_run(exponent, 0.0, False))
@@ -418,13 +432,16 @@ class _Parser:
             self.tape.append((name, None))
 
 
-def _shaped(out, x):
-    """A read-only array of x's shape for an ndarray x, else a float."""
-    if not isinstance(x, np.ndarray):
+def _shaped(out, x, args):
+    """A read-only array of the broadcast shape of x and the parameter
+    values when any of them is an ndarray, else a float."""
+    arrays = [v.shape for v in (x, *args) if isinstance(v, np.ndarray)]
+    if not arrays:
         return float(out)
+    shape = arrays[0] if len(arrays) == 1 else np.broadcast_shapes(*arrays)
     out = np.asarray(out, dtype=float)
-    if out.shape != x.shape:
-        return np.broadcast_to(out, x.shape)
+    if out.shape != shape:
+        return np.broadcast_to(out, shape)
     # A read-only view is what np.broadcast_to returns, at a fifth of its cost.
     out = out.view()
     out.flags.writeable = False
@@ -432,34 +449,58 @@ def _shaped(out, x):
 
 
 class Expression:
-    """A parsed expression of one variable, held as its tape and evaluable
-    for values and jets.
+    """A parsed expression of one variable and its named parameters, held
+    as its tape and evaluable for values and jets.
+
+    ``value`` and ``jet3`` take each parameter as a keyword argument: a
+    number, or an array that broadcasts against x (one entry per draw,
+    say, with x holding each draw's points along the last axis).
 
     ``has_abs`` flags the presence of abs, the one admitted non-smooth
     primitive: values are defined everywhere, but jets raise DomainError
     within KINK_TOL of a kink.
     """
 
-    __slots__ = ("source", "tape", "has_abs")
+    __slots__ = ("source", "tape", "params", "has_abs")
 
-    def __init__(self, tape: tuple, source: str):
+    def __init__(self, tape: tuple, source: str, params: tuple = ()):
         self.tape = tape
         self.source = source
+        self.params = params
         self.has_abs = any(op == "abs" for op, _ in tape)
 
-    def value(self, x):
-        return _shaped(_run(self.tape, x, jet=False), x)
+    def _args(self, bound: dict) -> tuple:
+        if len(bound) != len(self.params) or not all(k in bound for k in self.params):
+            raise TypeError(
+                f"{self!r} takes the parameters {list(self.params)}, got {sorted(bound)}"
+            )
+        return tuple([bound[name] for name in self.params])
+
+    def value(self, x, **params):
+        args = self._args(params)
+        return _shaped(_run(self.tape, x, False, args), x, args)
 
     __call__ = value  # unused in the package; perfbench/tracer.py wraps it by name
 
-    def jet3(self, x) -> Jet3:
-        j = _run(self.tape, x, jet=True)
-        return Jet3(*(_shaped(c, x) for c in (j.d0, j.d1, j.d2, j.d3)))
+    def jet3(self, x, **params) -> Jet3:
+        args = self._args(params)
+        j = _run(self.tape, x, True, args)
+        return Jet3(*(_shaped(c, x, args) for c in (j.d0, j.d1, j.d2, j.d3)))
 
     def __repr__(self):
         return f"Expression({self.source!r})"
 
 
-def parse(text: str) -> Expression:
-    """Parse ``text``; raises ParseError with the offending offset."""
-    return Expression(_Parser(text).parse(), text)
+def parse(text: str, params=()) -> Expression:
+    """Parse ``text``, in which each name in ``params`` stands for a
+    parameter; raises ParseError with the offending offset (0 for a bad
+    parameter name)."""
+    params = tuple(params)
+    for name in params:
+        if not _NAME_RE.fullmatch(name):
+            raise ParseError(0, f"parameter name {name!r} is not an identifier")
+        if name in _VARIABLES or name in _FUNCTIONS:
+            raise ParseError(0, f"parameter name {name!r} is taken by the language")
+    if len(set(params)) != len(params):
+        raise ParseError(0, f"parameter names {list(params)} repeat")
+    return Expression(_Parser(text, params).parse(), text, params)

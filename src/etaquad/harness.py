@@ -8,18 +8,27 @@ bound.  A violation is a hypothesis-passing trial with ratio above
 1 + 1e-9.  All randomness flows from one counter-based generator, so a
 seed reproduces a campaign exactly, and extending the trial count only
 appends trials.
+
+A family is one expression template with named parameters.  A campaign
+draws every trial first, then evaluates the trials of each family
+together: one parse of the template, one Simpson pass over all their
+segments, one jet grid of |f'''| along all their paths, and per bound one
+array of bounds and one gate.  Every step is elementwise or sums each
+segment on its own, so a trial's row has the same bits alone as in any
+batch.  ``tournament`` and ``sharpness_search`` use the same evaluator
+with a batch of one.
 """
 
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 
 from . import simpson
-from .bounds import THEOREM_ORDER, BoundSpec, DerivativeData, bound
+from .bounds import THEOREM_ORDER, BoundSpec, DerivativeData, bound, scalar_pow
 from .expr import Expression, parse
 from .identity import PathSegment, corrected_trapezoid
 from .invex import DifferenceMap, EtaMap, HypothesisReport, chord_slack, path_grid
@@ -62,15 +71,16 @@ CSV_COLUMNS = (
 class Family:
     """A parametric corpus of (expression, segment) draws.
 
-    ``build`` maps a parameter vector inside [lo, hi] to an expression
-    source plus a segment (b, h); builders clamp |h| into [0.1, 2] so
-    segments never degenerate.
+    A draw is a vector inside [lo, hi]: the values of the template's
+    parameters ``names``, then the segment's base point b and displacement
+    h.  |h| is clamped into [0.1, 2] so segments never degenerate.
     """
 
     name: str
+    template: str
+    names: tuple[str, ...]
     lo: tuple[float, ...]
     hi: tuple[float, ...]
-    build_fn: Callable[[np.ndarray], tuple[str, float, float]]
 
     def sample(self, rng: np.random.Generator) -> np.ndarray:
         return rng.uniform(self.lo, self.hi)
@@ -78,65 +88,50 @@ class Family:
     def clip(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params, self.lo, self.hi)
 
+    def source(self, params: np.ndarray) -> str:
+        """The template with each parameter written out as ``(value)``."""
+        values = dict(zip(self.names, map(float, params)))
+        pattern = r"\b(?:" + "|".join(self.names) + r")\b"
+        return re.sub(pattern, lambda m: f"({values[m.group()]!r})", self.template)
+
     def build(self, params: np.ndarray) -> tuple[Expression, float, float]:
-        source, b, h = self.build_fn(params)
-        return parse(source), float(b), float(h)
+        b, h = _segments(np.asarray(params)[None, :])
+        return parse(self.source(params)), float(b[0]), float(h[0])
+
+    def bind(self, draws: np.ndarray) -> dict:
+        """The template's parameters for a (trials x len(lo)) draw matrix,
+        one contiguous array per name."""
+        return dict(zip(self.names, draws[:, : len(self.names)].T.copy()))
 
 
-def _clamp_h(h: float) -> float:
-    sign = 1.0 if h >= 0.0 else -1.0
-    return sign * min(2.0, max(0.1, abs(h)))
+def _clamp_h(h):
+    return np.where(h >= 0.0, 1.0, -1.0) * np.clip(np.abs(h), 0.1, 2.0)
 
 
-def _poly_source(coeffs) -> str:
-    terms = []
-    for k, c in enumerate(coeffs):
-        c_txt = f"({float(c)!r})"
-        if k == 0:
-            terms.append(c_txt)
-        elif k == 1:
-            terms.append(f"{c_txt}*x")
-        else:
-            terms.append(f"{c_txt}*pow(x,{k})")
-    return " + ".join(terms)
+def _segments(draws: np.ndarray):
+    """Base points b and clamped displacements h of a draw matrix."""
+    return draws[:, -2], _clamp_h(draws[:, -1])
 
 
-def _build_poly(degree: int):
-    def build(params):
-        coeffs = params[: degree + 1]
-        b = float(params[degree + 1])
-        h = _clamp_h(float(params[degree + 2]))
-        return _poly_source(coeffs), b, h
-
-    return build
-
-
-def _build_mono4(params):
-    c, b, h = params
-    return f"({float(c)!r})*pow(x,4)", float(b), _clamp_h(float(h))
-
-
-def _build_exp(params):
-    c, lam, b, h = params
-    return f"({float(c)!r})*exp(({float(lam)!r})*x)", float(b), _clamp_h(float(h))
-
-
-def _build_trig(params):
-    c, omega, phase, b, h = params
-    source = f"({float(c)!r})*sin(({float(omega)!r})*x + ({float(phase)!r}))"
-    return source, float(b), _clamp_h(float(h))
+def _poly(degree: int) -> tuple[str, tuple[str, ...]]:
+    names = tuple(f"c{k}" for k in range(degree + 1))
+    terms = ["c0", "c1*x"] + [f"c{k}*pow(x,{k})" for k in range(2, degree + 1)]
+    return " + ".join(terms), names
 
 
 FAMILIES = {
-    "poly2": Family("poly2", (-5.0,) * 3 + (-2.0, -2.0), (5.0,) * 3 + (2.0, 2.0), _build_poly(2)),
-    "poly6": Family("poly6", (-5.0,) * 7 + (-2.0, -2.0), (5.0,) * 7 + (2.0, 2.0), _build_poly(6)),
-    "mono4": Family("mono4", (-5.0, -2.0, -2.0), (5.0, 2.0, 2.0), _build_mono4),
-    "exp": Family("exp", (-5.0, -2.0, -2.0, -2.0), (5.0, 2.0, 2.0, 2.0), _build_exp),
+    "poly2": Family("poly2", *_poly(2), (-5.0,) * 3 + (-2.0, -2.0), (5.0,) * 3 + (2.0, 2.0)),
+    "poly6": Family("poly6", *_poly(6), (-5.0,) * 7 + (-2.0, -2.0), (5.0,) * 7 + (2.0, 2.0)),
+    "mono4": Family("mono4", "c*pow(x,4)", ("c",), (-5.0, -2.0, -2.0), (5.0, 2.0, 2.0)),
+    "exp": Family(
+        "exp", "c*exp(lam*x)", ("c", "lam"), (-5.0, -2.0, -2.0, -2.0), (5.0, 2.0, 2.0, 2.0)
+    ),
     "trig": Family(
         "trig",
+        "c*sin(omega*x + phase)",
+        ("c", "omega", "phase"),
         (-5.0, 0.2, 0.0, -2.0, -2.0),
         (5.0, 3.0, 2.0 * math.pi, 2.0, 2.0),
-        _build_trig,
     ),
 }
 
@@ -212,41 +207,54 @@ class CampaignReport:
         }
 
 
-def _safe_ratio(lhs_abs: float, bnd: float) -> float:
-    if bnd > 0.0:
-        return lhs_abs / bnd
-    return 0.0 if lhs_abs <= ZERO_LHS_TOL else math.inf
+def _safe_ratio(lhs_abs, bnd):
+    """lhs_abs / bnd, with 0/0 read as 0 up to ZERO_LHS_TOL; elementwise."""
+    ratio = np.where(lhs_abs <= ZERO_LHS_TOL, 0.0, math.inf)
+    return np.divide(lhs_abs, bnd, out=ratio, where=bnd > 0.0)
 
 
-def _gate(
-    hypothesis: str, d3_path: np.ndarray, t: np.ndarray, d: DerivativeData, q: float
-) -> bool:
-    """Sampled hypothesis along the path, in the q-th power form the
-    bounds consume: chord (preinvex) or endpoint max (prequasiinvex).
-    The path runs from b (t = 0) to a (t = 1)."""
-    slack = chord_slack(d3_path ** q, d.b3 ** q, d.a3 ** q, t, hypothesis == "prequasiinvex")
-    return bool(np.max(slack) <= GATE_TOL)
+def _evaluate(f, params: dict, b, h, specs, grid_n: int, ends=None):
+    """The remainders over [b, b + h] and, per spec, the arrays (bound,
+    ratio, gate passed) for a batch of segments; the bound is a float
+    where h, A and B are.
 
-
-def _remainder_and_path(f, b: float, h: float, grid_n: int):
+    ``b`` and ``h`` are floats for one segment or arrays with one entry
+    per segment, and f's parameters bind to ``params``, arrays with one
+    entry per segment.  A and B are read at the path ends (t = 1 is
+    a = b + h), or at the points ``ends`` = (a, b) of an unparameterised
+    f.  The gate is the sampled hypothesis along the path, in the q-th
+    power form the bounds consume: chord (preinvex) or endpoint max
+    (prequasiinvex).
+    """
     t = path_grid(grid_n)
-    seg = PathSegment(b=b, h=h, a=b + h)
-    q_value = corrected_trapezoid(f, seg)
-    integral, _ = simpson.integrate(f.value, seg.b, seg.end, tol=LHS_TOL)
-    d3_path = np.abs(f.jet3(b + t * h).d3)
-    return integral - q_value, t, d3_path
+    q_value = corrected_trapezoid(f, PathSegment(b=b, h=h), **params)
+    integral, _ = simpson.integrate_segments(
+        lambda x, seg: f.value(x, **{k: v[seg] for k, v in params.items()}),
+        b, b + h, tol=LHS_TOL,
+    )
+    lhs = integral - q_value
 
+    def column(v):
+        return np.reshape(v, (-1, 1))
 
-def _trial(f, b: float, h: float, specs, grid_n: int):
-    """The remainder over [b, b + h] and, per spec, (bound, ratio, gate
-    passed), with A and B read at the path ends."""
-    lhs, t, d3_path = _remainder_and_path(f, b, h, grid_n)
-    data = DerivativeData(float(d3_path[-1]), float(d3_path[0]))  # t = 1 is a = b + h
+    path = column(b) + t * column(h)
+    d3 = np.abs(f.jet3(path, **{k: column(v) for k, v in params.items()}).d3)
+    if ends is None:
+        data = DerivativeData(d3[:, -1], d3[:, 0])
+    else:
+        data = DerivativeData.from_function(f, *ends)
+    lhs_abs = np.abs(lhs)
+    gates = {}  # specs with one hypothesis and one q share their gate
     out = []
     for spec in specs:
         bnd = bound(spec, h, data).value
-        ok = _gate(spec.hypothesis, d3_path, t, data, spec.q)
-        out.append((bnd, _safe_ratio(abs(lhs), bnd), ok))
+        key = (spec.hypothesis, spec.q)
+        if key not in gates:
+            q = spec.q
+            fb, fa = (column(scalar_pow(e, q)) for e in (data.b3, data.a3))
+            slack = chord_slack(d3 ** q, fb, fa, t, spec.hypothesis == "prequasiinvex")
+            gates[key] = np.max(slack, axis=1) <= GATE_TOL
+        out.append((bnd, _safe_ratio(lhs_abs, bnd), gates[key]))
     return lhs, out
 
 
@@ -278,24 +286,36 @@ def run_inequality_suite(
 
     ``family`` is a Family, a FAMILIES key, or "mixed".  Difference-map
     segments a = b + h are used throughout, so the path endpoints are the
-    bound endpoints.  Per-instance work (remainder, derivative grid) is
-    shared across specs.  The argmax is the first gated row with the
-    largest positive ratio.
+    bound endpoints.  Every trial is drawn before any is evaluated, and
+    the trials of each family are evaluated as one batch shared across
+    specs.  The argmax is the first gated row with the largest positive
+    ratio.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
     rng = np.random.Generator(np.random.Philox(seed))
-    rows: list[TrialRow] = []
-    sources = []
+    drawn = []  # (family, draw) per trial
+    groups: dict[Family, list[int]] = {}
     for trial in range(trials):
         fam = _pick(family, rng)
-        f, b, h = fam.build(fam.sample(rng))
-        lhs, results = _trial(f, b, h, specs, grid_n)
-        sources.append(f.source)
-        rows += [
-            TrialRow(trial, fam.name, b + h, b, h, s.theorem, s.q, lhs, bnd, ratio, ok)
-            for s, (bnd, ratio, ok) in zip(specs, results)
-        ]
+        drawn.append((fam, fam.sample(rng)))
+        groups.setdefault(fam, []).append(trial)
+
+    rows_of: list[list[TrialRow]] = [[] for _ in range(trials)]
+    for fam, idx in groups.items():
+        batch = np.array([drawn[i][1] for i in idx])
+        b, h = _segments(batch)
+        f = parse(fam.template, fam.names)
+        lhs, results = _evaluate(f, fam.bind(batch), b, h, specs, grid_n)
+        a, b, h, lhs = (b + h).tolist(), b.tolist(), h.tolist(), lhs.tolist()
+        results = [tuple(col.tolist() for col in res) for res in results]
+        for j, i in enumerate(idx):
+            rows_of[i] = [
+                TrialRow(i, fam.name, a[j], b[j], h[j], s.theorem, s.q, lhs[j],
+                         bnd[j], ratio[j], ok[j])
+                for s, (bnd, ratio, ok) in zip(specs, results)
+            ]
+    rows = [row for trial_rows in rows_of for row in trial_rows]
 
     gated = [r for r in rows if r.hypothesis_pass]
     table = []
@@ -305,7 +325,8 @@ def run_inequality_suite(
     peak = max((r for r in gated if r.ratio > 0.0), key=lambda r: r.ratio, default=None)
     argmax = None
     if peak is not None:
-        argmax = {"trial": peak.trial, "family": peak.family, "f": sources[peak.trial]}
+        fam, draw = drawn[peak.trial]
+        argmax = {"trial": peak.trial, "family": peak.family, "f": fam.source(draw)}
         argmax.update((k, getattr(peak, k)) for k in CSV_COLUMNS[2:-1])
     return CampaignReport(trials=len(rows), **_tally(gated), argmax=argmax, table=table, rows=rows)
 
@@ -319,33 +340,36 @@ def tournament(instance: Instance, q_grid: list[float], grid_n: int = 65) -> lis
     """
     f = instance.f
     h = float(instance.emap(instance.a, instance.b))
-    lhs, t, d3_path = _remainder_and_path(f, instance.b, h, grid_n)
-    lhs_abs = abs(lhs)
-    data = DerivativeData.from_function(f, instance.a, instance.b)
+    specs = {}
+    for q in q_grid:
+        for thm in THEOREM_ORDER:
+            try:
+                specs[q, thm] = BoundSpec(thm, q)
+            except ValueError:
+                pass
+        if (q, "T2.1") not in specs:  # T2.1 and T3.1 hold wherever any bound does
+            raise ValueError(f"no bound is defined at q = {q}")
+    lhs, results = _evaluate(
+        f, {}, instance.b, h, list(specs.values()), grid_n, ends=(instance.a, instance.b)
+    )
+    judged = {key: [float(bnd), float(ratio[0]), bool(ok[0])]
+              for key, (bnd, ratio, ok) in zip(specs, results)}
 
     out = []
     for q in q_grid:
-        values = {}
-        for thm in THEOREM_ORDER:
-            try:
-                spec = BoundSpec(thm, q)
-            except ValueError:
-                values[thm] = None
-                continue
-            values[thm] = bound(spec, h, data).value
+        values = {thm: judged[q, thm][0] if (q, thm) in judged else None for thm in THEOREM_ORDER}
         available = [thm for thm in THEOREM_ORDER if values[thm] is not None]
-        if not available:
-            raise ValueError(f"no bound is defined at q = {q}")
         winner = min(available, key=lambda thm: (values[thm], THEOREM_ORDER.index(thm)))
         out.append(
             {
                 "q": q,
                 "bounds": values,
                 "winner": winner,
-                "lhs": lhs_abs,
-                "ratio_winner": _safe_ratio(lhs_abs, values[winner]),
-                "preinvex_pass": _gate("preinvex", d3_path, t, data, q),
-                "prequasiinvex_pass": _gate("prequasiinvex", d3_path, t, data, q),
+                "lhs": abs(float(lhs[0])),
+                "ratio_winner": judged[q, winner][1],
+                # The gates of T2.1 and T3.1 are those of their hypotheses at q.
+                "preinvex_pass": judged[q, "T2.1"][2],
+                "prequasiinvex_pass": judged[q, "T3.1"][2],
             }
         )
     return out
@@ -370,26 +394,28 @@ def sharpness_search(
     path_grid(grid_n)  # score() below turns every ValueError into -inf
     rng = np.random.Generator(np.random.Philox(seed))
     spans = np.asarray(fam.hi) - np.asarray(fam.lo)
+    f = parse(fam.template, fam.names)
 
     def score(params):
+        """The candidate's ratio and its draw, or -inf and None."""
+        batch = params[None, :]
         try:
-            f, b, h = fam.build(params)
-            _, [(_, ratio, ok)] = _trial(f, b, h, [spec], grid_n)
+            _, [(_, ratio, ok)] = _evaluate(f, fam.bind(batch), *_segments(batch), [spec], grid_n)
         except (ValueError, simpson.ConvergenceError):
             return -math.inf, None
-        if not ok or math.isinf(ratio):
+        if not ok[0] or math.isinf(ratio[0]):
             return -math.inf, None
-        return ratio, Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec)
+        return float(ratio[0]), params
 
     best_ratio = -math.inf
-    best_instance = None
+    best_draw = None
     evals = 0
     while evals < iterations:
         params = fam.sample(rng)
-        ratio, inst = score(params)
+        ratio, draw = score(params)
         evals += 1
         if ratio > best_ratio:
-            best_ratio, best_instance = ratio, inst
+            best_ratio, best_draw = ratio, draw
         for frac in (0.3, 0.1, 0.03, 0.01):
             improved = True
             while improved and evals < iterations:
@@ -401,16 +427,19 @@ def sharpness_search(
                         cand = params.copy()
                         cand[i] += direction * frac * spans[i]
                         cand = fam.clip(cand)
-                        cand_ratio, cand_inst = score(cand)
+                        cand_ratio, cand_draw = score(cand)
                         evals += 1
                         if cand_ratio > ratio:
-                            params, ratio, inst = cand, cand_ratio, cand_inst
+                            params, ratio, draw = cand, cand_ratio, cand_draw
                             improved = True
                 if ratio > best_ratio:
-                    best_ratio, best_instance = ratio, inst
+                    best_ratio, best_draw = ratio, draw
             if evals >= iterations:
                 break
-    return best_instance, best_ratio
+    if best_draw is None:
+        return None, best_ratio
+    f, b, h = fam.build(best_draw)
+    return Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec), best_ratio
 
 
 def check_hh_classical(f, a: float, b: float, grid_n: int = 65, tol: float = 1e-9) -> HypothesisReport:

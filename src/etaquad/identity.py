@@ -45,6 +45,7 @@ class PathSegment:
 
     ``a`` records the endpoint argument that produced ``h`` through a
     direction map, for reporting; it is not used in any computation.
+    ``b`` and ``h`` may also be arrays, one entry per segment of a batch.
     """
 
     b: float
@@ -52,9 +53,9 @@ class PathSegment:
     a: float | None = None
 
     def __post_init__(self):
-        if not np.isfinite(self.h) or self.h == 0.0:
+        if not np.isfinite(self.h).all() or (np.asarray(self.h) == 0.0).any():
             raise ValueError("displacement h must be finite and nonzero")
-        if not np.isfinite(self.b):
+        if not np.isfinite(self.b).all():
             raise ValueError("base point b must be finite")
 
     @classmethod
@@ -86,10 +87,12 @@ class IdentityReport:
         }
 
 
-def corrected_trapezoid(f, seg: PathSegment) -> float:
-    """Q over the segment, from endpoint values and first derivatives."""
-    jb = f.jet3(seg.b)
-    je = f.jet3(seg.end)
+@np.errstate(all="ignore")  # arrays overflow to inf and nan silently, as floats do
+def corrected_trapezoid(f, seg: PathSegment, **params) -> float:
+    """Q over the segment, from endpoint values and first derivatives;
+    ``params`` binds the parameters of f (see ``Expression.value``)."""
+    jb = f.jet3(seg.b, **params)
+    je = f.jet3(seg.end, **params)
     return seg.h * (jb.d0 + je.d0) / 2.0 + seg.h * seg.h / 12.0 * (jb.d1 - je.d1)
 
 

@@ -8,6 +8,8 @@ and prequasiinvex when it lies under max(f(u), f(v)).
 
 The checks here sample (u, v, t) on uniform grids and report the worst
 normalised slack together with a witness triple when the property fails.
+They sweep the grid one u row at a time, so memory grows with the square
+of the grid size, not its cube.
 Grid sampling refutes but never proves; a pass means "no counterexample on
 this grid", which is exactly what the harness needs for gating.
 """
@@ -248,21 +250,28 @@ def path_grid(grid_n: int) -> np.ndarray:
 
 def _grids(dom: Domain, grid_n: int):
     t = path_grid(grid_n)
-    u = dom.grid(grid_n)
-    U = u[:, None, None]
-    V = u[None, :, None]
-    T = t[None, None, :]
-    return u, t, U, V, T
+    return dom.grid(grid_n), t
 
 
-def _verdict(slack: np.ndarray, u: np.ndarray, t: np.ndarray, tol: float) -> HypothesisReport:
-    worst = float(np.max(slack))
+def _directions(emap: EtaMap, u: np.ndarray) -> np.ndarray:
+    """eta(v, u) for every pair of grid points, indexed [u, v, 0]."""
+    return emap(u[None, :, None], u[:, None, None])
+
+
+def _verdict(slack_row, u: np.ndarray, t: np.ndarray, tol: float) -> HypothesisReport:
+    """The worst of the slacks ``slack_row(i)`` (indexed [v, t]) over every
+    u row i, and the first (u, v, t) attaining it in C order.  A NaN slack
+    is the worst and fails."""
+    row_worst = np.array([np.max(slack_row(i)) for i in range(u.size)])
+    worst = float(np.max(row_worst))
     passed = worst <= tol
     witness = None
     if not passed:
-        i, j, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        i = int(np.argmax(row_worst))
+        row = slack_row(i)
+        j, k = np.unravel_index(int(np.argmax(row)), row.shape)
         witness = (float(u[i]), float(u[j]), float(t[k]))
-    return HypothesisReport(passed, slack.size, worst, witness)
+    return HypothesisReport(passed, u.size * u.size * t.size, worst, witness)
 
 
 def check_invex_set(
@@ -279,11 +288,14 @@ def check_invex_set(
     is the absolute distance a path point escapes [dom.lo, dom.hi].
     """
     box = sample if sample is not None else dom
-    u, t, U, V, T = _grids(box, grid_n)
-    points = U + T * emap(V, U)
-    outside = np.maximum(dom.lo - points, points - dom.hi)
-    slack = np.maximum(outside, 0.0)
-    return _verdict(slack, u, t, tol)
+    u, t = _grids(box, grid_n)
+    eta = _directions(emap, u)
+
+    def slack_row(i):
+        points = u[i] + t * eta[i]
+        return np.maximum(np.maximum(dom.lo - points, points - dom.hi), 0.0)
+
+    return _verdict(slack_row, u, t, tol)
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
@@ -308,12 +320,14 @@ def chord_slack(fpath, fu, fv, t, quasi: bool):
 
 
 def _chord_check(f, emap, dom, grid_n, tol, quasi: bool) -> HypothesisReport:
-    u, t, U, V, T = _grids(dom, grid_n)
+    u, t = _grids(dom, grid_n)
     fu = _sample(f, u)
-    path = U + T * emap(V, U)
-    fpath = _sample(f, path)
-    slack = chord_slack(fpath, fu[:, None, None], fu[None, :, None], T, quasi)
-    return _verdict(slack, u, t, tol)
+    eta = _directions(emap, u)
+
+    def slack_row(i):
+        return chord_slack(_sample(f, u[i] + t * eta[i]), fu[i], fu[:, None], t, quasi)
+
+    return _verdict(slack_row, u, t, tol)
 
 
 def check_preinvex(

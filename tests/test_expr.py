@@ -317,3 +317,70 @@ def test_jet3_algebra_helpers():
     with pytest.raises(DomainError):
         a / Jet3.constant(0.0)
 
+
+
+# --- named parameters --------------------------------------------------------
+
+
+def test_parameter_names_become_param_entries():
+    f = parse("c*exp(lam*x)", ("c", "lam"))
+    assert f.params == ("c", "lam")
+    assert f.tape == (
+        ("param", 0), ("param", 1), ("var", None), ("mul", None), ("exp", None), ("mul", None),
+    )
+    assert f.value(0.5, c=2.0, lam=-1.0) == 2.0 * math.exp(-0.5)
+
+
+@pytest.mark.parametrize("name", ["x", "t", "exp", "log", "sin", "cos", "abs", "pow"])
+def test_parameter_name_clashing_with_the_language_is_refused(name):
+    with pytest.raises(ParseError, match="taken by the language"):
+        parse("x", (name,))
+
+
+@pytest.mark.parametrize("names", [("1c",), ("c d",), ("",), ("c", "c")])
+def test_malformed_or_repeated_parameter_names_are_refused(names):
+    with pytest.raises(ParseError):
+        parse("x", names)
+
+
+def test_parameter_is_no_function_and_no_pow_exponent():
+    with pytest.raises(ParseError, match="'c' is not a function"):
+        parse("c(x)", ("c",))
+    with pytest.raises(ParseError, match="exponent must be a constant"):
+        parse("pow(x, k)", ("k",))
+    with pytest.raises(ParseError, match="unknown identifier 'c'"):
+        parse("c*x")
+
+
+def test_parameters_must_all_be_bound():
+    f = parse("a*x + b", ("a", "b"))
+    with pytest.raises(TypeError, match=r"\['a', 'b'\]"):
+        f.value(1.0, a=1.0)
+    with pytest.raises(TypeError):
+        f.jet3(1.0, a=1.0, b=2.0, c=3.0)
+
+
+def test_parameter_arrays_broadcast_against_x():
+    # One row per draw, the draw's points along the last axis.
+    f = parse("c*sin(w*x)", ("c", "w"))
+    c = np.array([[1.0], [-2.0], [0.5]])
+    w = np.array([[1.0], [3.0], [0.25]])
+    x = np.linspace(-1.0, 1.0, 5)
+    values = f.value(x, c=c, w=w)
+    jets = f.jet3(x, c=c, w=w)
+    assert values.shape == jets.d3.shape == (3, 5)
+    for k in range(3):
+        one = parse(f"{c[k, 0]}*sin({w[k, 0]}*x)")
+        assert np.array_equal(values[k], one.value(x))
+        assert np.array_equal(jets.d3[k], one.jet3(x).d3)
+    # Scalar x with parameter arrays takes the arrays' shape.
+    assert f.value(0.5, c=c[:, 0], w=w[:, 0]).shape == (3,)
+
+
+def test_negative_literal_is_one_constant():
+    assert parse("-1.5").tape == (("const", -1.5),)
+    assert parse("(-2)*x").tape == (("const", -2.0), ("var", None), ("mul", None))
+    assert parse("-(2)").tape == (("const", 2.0), ("neg", None))
+    # Its jet has zero derivatives of positive sign, as a parameter's does.
+    j = parse("(-1.5)*x").jet3(np.array([0.0, 1.0]))
+    assert np.signbit(j.d2).tolist() == [False, False]

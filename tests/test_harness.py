@@ -17,7 +17,15 @@ from etaquad import (
     sharpness_search,
     tournament,
 )
-from etaquad.harness import CSV_COLUMNS, TrialRow, _clamp_h, _safe_ratio
+from etaquad.harness import (
+    CSV_COLUMNS,
+    TrialRow,
+    _clamp_h,
+    _evaluate,
+    _pick,
+    _safe_ratio,
+    _segments,
+)
 
 SIX = [BoundSpec(t, 2.0) for t in THEOREM_ORDER]
 
@@ -48,6 +56,40 @@ def test_family_builders_round_trip():
     assert f.value(3.0) == pytest.approx(2.0 * 81.0)
     f, _, _ = FAMILIES["poly2"].build(np.array([1.0, 2.0, 3.0, 0.0, 1.0]))
     assert f.value(2.0) == pytest.approx(1.0 + 4.0 + 12.0)
+
+
+def _bits(*arrays) -> bytes:
+    return b"".join(np.asarray(a, dtype=float).tobytes() for a in arrays)
+
+
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_template_matches_built_source_bit_for_bit(name):
+    # Each family's template bound to a draw runs as the source text its
+    # build writes out; draws are mirrored through zero so that every
+    # parameter is also negative.
+    fam = FAMILIES[name]
+    rng = np.random.Generator(np.random.Philox(4))
+    draws = np.array([fam.sample(rng) for _ in range(4)])
+    draws = np.concatenate([draws, -draws])
+    template = parse(fam.template, fam.names)
+    x = np.linspace(-2.0, 2.0, 33)
+    params = fam.bind(draws)
+    values = template.value(x, **{k: v[:, None] for k, v in params.items()})
+    jets = template.jet3(x, **{k: v[:, None] for k, v in params.items()})
+    for k, draw in enumerate(draws):
+        f, _, _ = fam.build(draw)
+        assert f.source == fam.source(draw)
+        j = f.jet3(x)
+        assert _bits(values[k]) == _bits(f.value(x))
+        assert _bits(jets.d0[k], jets.d1[k], jets.d2[k], jets.d3[k]) == _bits(j.d0, j.d1, j.d2, j.d3)
+
+
+def test_built_source_writes_each_value_in_parentheses():
+    f, b, h = FAMILIES["trig"].build(np.array([-1.5, 0.25, 3.0, 0.5, -0.05]))
+    assert f.source == "(-1.5)*sin((0.25)*x + (3.0))"
+    assert (b, h) == (0.5, -0.1)
+    f, _, _ = FAMILIES["poly2"].build(np.array([1.0, -2.0, 3.0, 0.0, 1.0]))
+    assert f.source == "(1.0) + (-2.0)*x + (3.0)*pow(x,2)"
 
 
 def test_trial_row_json_matches_csv_columns():
@@ -99,6 +141,26 @@ def test_suite_determinism_and_prefix():
     r3 = run_inequality_suite("poly6", SIX, trials=40, seed=7)
     assert r3.rows[: len(r1.rows)] == r1.rows
     assert r3.max_ratio >= r1.max_ratio
+    # A trial's row has the same bits alone as inside a 2000-trial batch
+    # (repr tells -0.0 from 0.0 and shows every bit of a float).
+    big = run_inequality_suite("mixed", SIX, trials=2000, seed=7)
+    alone = run_inequality_suite("mixed", SIX, trials=1, seed=7)
+    assert repr(big.rows[: len(SIX)]) == repr(alone.rows)
+    rng = np.random.Generator(np.random.Philox(7))
+    for trial in range(2000):
+        fam = _pick("mixed", rng)
+        draw = fam.sample(rng)
+        if trial in (1, 999, 1999):
+            batch = draw[None, :]
+            lhs, results = _evaluate(
+                parse(fam.template, fam.names), fam.bind(batch), *_segments(batch), SIX, 65
+            )
+            rows = big.rows[trial * len(SIX) : (trial + 1) * len(SIX)]
+            assert {r.family for r in rows} == {fam.name}
+            for row, (bnd, ratio, ok) in zip(rows, results):
+                assert repr((row.lhs, row.bound, row.ratio, row.hypothesis_pass)) == repr(
+                    (float(lhs[0]), float(bnd[0]), float(ratio[0]), bool(ok[0]))
+                )
 
 
 def test_per_spec_table_consistent():

@@ -223,3 +223,50 @@ def test_report_serialisation():
     assert list(out) == ["passed", "checked", "worst_slack", "witness"]
     assert out["passed"] is False
     assert len(out["witness"]) == 3
+
+
+# --- the row-by-row sweep ----------------------------------------------------
+
+
+def _full_grid_report(f, emap, dom, grid_n, tol, quasi):
+    """The checks as one (u, v, t) array: the reference the sweep keeps."""
+    from etaquad.invex import chord_slack
+
+    u = dom.grid(grid_n)
+    t = np.linspace(0.0, 1.0, grid_n)
+    U, V, T = u[:, None, None], u[None, :, None], t[None, None, :]
+    fu = f.value(u)
+    slack = chord_slack(f.value(U + T * emap(V, U)), fu[:, None, None], fu[None, :, None], T, quasi)
+    worst = float(np.max(slack))
+    witness = None
+    if not worst <= tol:
+        i, j, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
+        witness = (float(u[i]), float(u[j]), float(t[k]))
+    return (worst <= tol, slack.size, worst, witness)
+
+
+@pytest.mark.parametrize("source", ["-abs(x)", "pow(x,3)", "sin(3*x)", "x*x", "exp(x) - 2*x"])
+@pytest.mark.parametrize("emap", [DifferenceMap(), PiecewiseSignMap(), ScaledMap(0.5)])
+def test_row_sweep_matches_the_full_grid(source, emap):
+    f = parse(source)
+    dom = Domain(-1.5, 1.0)
+    for check, quasi in ((check_preinvex, False), (check_prequasiinvex, True)):
+        rep = check(f, emap, dom, grid_n=17)
+        got = (rep.passed, rep.checked, rep.worst_slack, rep.witness)
+        assert repr(got) == repr(_full_grid_report(f, emap, dom, 17, 1e-9, quasi))
+
+
+def test_nan_slack_fails_at_its_first_grid_triple():
+    # lam*(v - u) overflows to inf, and t = 0 times inf is nan: those path
+    # points are nowhere, and the check must say so at the first of them.
+    emap, dom = ScaledMap(1e308), Domain(-10.0, 10.0)
+    with np.errstate(all="ignore"):
+        rep = check_invex_set(emap, dom, grid_n=5)
+        u, t = dom.grid(5), np.linspace(0.0, 1.0, 5)
+        points = u[:, None, None] + t[None, None, :] * emap(u[None, :, None], u[:, None, None])
+    slack = np.maximum(np.maximum(dom.lo - points, points - dom.hi), 0.0)
+    i, j, k = np.unravel_index(int(np.argmax(slack)), slack.shape)
+    assert np.isnan(slack).any() and not np.isnan(slack).all()
+    assert not rep.passed
+    assert math.isnan(rep.worst_slack)
+    assert rep.witness == (u[i], u[j], t[k])

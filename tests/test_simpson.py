@@ -91,3 +91,62 @@ def test_pending_intervals_are_capped(monkeypatch):
     monkeypatch.setattr(simpson, "MAX_LIVE", 16)
     with pytest.raises(ConvergenceError, match="pending"):
         integrate(lambda x: np.sin(50.0 * x), 0.0, 10.0, tol=1e-14)
+
+
+# --- many segments at once ---------------------------------------------------
+
+
+def _bits(values) -> bytes:
+    return np.asarray(values, dtype=float).tobytes()
+
+
+def test_segments_equal_one_segment_calls_bit_for_bit():
+    # Segment k integrates c[k]*sin(w[k]*x) + x over [lo[k], hi[k]]; reversed
+    # and empty segments included.
+    c = np.array([1.0, -2.5, 0.3, 4.0, 1.0, -1.0])
+    w = np.array([1.0, 7.0, 0.2, 3.0, 2.0, 11.0])
+    lo = np.array([0.0, 1.0, -2.0, 0.5, 0.7, -1.0])
+    hi = np.array([1.0, -1.0, 2.0, 0.5, 2.0, 0.3])
+    values, estimates = simpson.integrate_segments(
+        lambda x, seg: c[seg] * np.sin(w[seg] * x) + x, lo, hi, 1e-11, min_depth=3
+    )
+    for k in range(lo.size):
+        one = integrate(lambda x: c[k] * np.sin(w[k] * x) + x, lo[k], hi[k], 1e-11, min_depth=3)
+        assert _bits([values[k], estimates[k]]) == _bits(one)
+    assert values[3] == 0.0 and estimates[3] == 0.0
+
+
+def test_max_live_counts_the_intervals_of_all_segments(monkeypatch):
+    def fn(x, seg):
+        sizes.append(x.size)
+        return np.sin(50.0 * x)
+
+    sizes = []
+    simpson.integrate_segments(fn, [0.0], [2.0], tol=1e-9)
+    # A level evaluates two quarter points per pending interval, in one
+    # call while they are fewer than EVAL_CHUNK.
+    assert max(sizes) < simpson.EVAL_CHUNK
+    monkeypatch.setattr(simpson, "MAX_LIVE", max(sizes) // 2)
+    simpson.integrate_segments(fn, [0.0], [2.0], tol=1e-9)  # one segment fits
+    with pytest.raises(ConvergenceError, match="pending over 2 segment"):
+        simpson.integrate_segments(fn, [0.0, 0.0], [2.0, 2.0], tol=1e-9)
+
+
+def test_integrand_is_called_in_slices_of_at_most_eval_chunk_points():
+    sizes = []
+
+    def fn(x):
+        sizes.append(x.size)
+        return np.sin(40.0 * x)
+
+    integrate(fn, 0.0, 10.0, tol=1e-11)
+    assert max(sizes) == simpson.EVAL_CHUNK < sum(sizes)
+
+
+def test_non_finite_value_names_its_segment():
+    def fn(x, seg):
+        return np.where(seg == 2, np.log(x), x)
+
+    with np.errstate(all="ignore"):
+        with pytest.raises(ConvergenceError, match=r"integrand is nan at x = -1\.0 in segment 2$"):
+            simpson.integrate_segments(fn, [0.0, 1.0, -1.0], [1.0, 2.0, 1.0])
