@@ -4,7 +4,8 @@ Every subcommand writes a machine-readable report (JSON by default, CSV on
 request) that embeds the fully resolved configuration and the package
 version, so a report file alone is enough to rerun the computation.  Key
 order in JSON output is fixed; the same argv and seed produce byte-
-identical files.
+identical files.  JSON is indented by 2, except that a dict or list
+holding no dict or list takes one line, so each suite row is one line.
 
 Each option is declared once, in ``OPTIONS``, and each command once, in
 ``COMMANDS``.  A key's value is its flag if given, else its value in the
@@ -22,8 +23,6 @@ import functools
 import io
 import json
 import sys
-
-import numpy as np
 
 from . import __version__
 from .bounds import SELECTORS, THEOREM_ORDER, BoundSpec, DerivativeData, bound
@@ -86,36 +85,29 @@ def _eta_obj(cfg: dict):
     return emap
 
 
-def _plain(obj):
-    """Recursively convert numpy scalars/arrays so json can serialise."""
-    if isinstance(obj, dict):
-        return {k: _plain(v) for k, v in obj.items()}
-    if isinstance(obj, (list, tuple)):
-        return [_plain(v) for v in obj]
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.ndarray):
-        return [_plain(v) for v in obj.tolist()]
-    return obj
+# One line of JSON from the C encoder; NaN and inf raise ValueError.
+_one_line = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
 
 
-def _report(command: str, config: dict, result: dict, passed: bool) -> dict:
-    return {
-        "command": command,
-        "version": __version__,
-        "config": _plain(config),
-        "result": _plain(result),
-        "passed": passed,
-    }
+def _json(obj, pad: str = "\n") -> str:
+    """JSON text indented by 2, except that a dict or list holding no dict
+    or list is written on one line (a suite row, say)."""
+    is_dict = isinstance(obj, dict)
+    items = obj.values() if is_dict else obj
+    if not isinstance(obj, (dict, list)) or not any(isinstance(v, (dict, list)) for v in items):
+        return _one_line(obj)
+    inner = pad + "  "
+    if is_dict:
+        parts = [f"{_one_line(k)}: {_json(v, inner)}" for k, v in obj.items()]
+    else:
+        parts = [_json(v, inner) for v in obj]
+    brackets = "{}" if is_dict else "[]"
+    return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
 
 def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
     if fmt == "json":
-        text = json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False) + "\n"
+        text = _json(report) + "\n"
     else:
         buf = io.StringIO()
         if csv_rows is not None:
@@ -408,7 +400,9 @@ def run(argv: list[str]) -> int:
         print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)
         return 2
     cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
-    _emit(_report(args.command, cfg, result, passed), cfg["out"], cfg["format"], csv_rows=csv_rows)
+    report = {"command": args.command, "version": __version__, "config": cfg,
+              "result": result, "passed": passed}
+    _emit(report, cfg["out"], cfg["format"], csv_rows=csv_rows)
     return code
 
 

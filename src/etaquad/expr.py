@@ -144,20 +144,6 @@ def _chain(u: Jet3, f0, f1, f2, f3) -> Jet3:
     )
 
 
-def _int_pow_jet(u: Jet3, n: int) -> Jet3:
-    if n <= 0:
-        one = Jet3(np.ones_like(np.asarray(u.d0, dtype=float)), 0.0, 0.0, 0.0)
-        return one if n == 0 else one / _int_pow_jet(u, -n)
-    result = None
-    while n:
-        if n & 1:
-            result = u if result is None else result * u
-        n >>= 1
-        if n:
-            u = u * u
-    return result
-
-
 # ---------------------------------------------------------------------------
 # Tape primitives.  Binary ones take their two arguments, unary ones their
 # argument and the entry's constant.  An argument is a value (a float or an
@@ -176,17 +162,24 @@ def _div(u, v):
 
 
 def _powi(u, n):
-    """u ** n for an integer n: the power operator for values, repeated
-    squaring for jets (valid for any base, including zero and negatives)."""
-    jet = isinstance(u, Jet3)
-    if n < 0:
-        _refuse((u.d0 if jet else u) == 0.0, "zero base with negative exponent")
-    if jet:
-        return _int_pow_jet(u, n)
-    try:
-        return u ** n
-    except OverflowError:  # a Python float raises where numpy gives +-inf
-        return np.float64(u) ** n
+    """u ** n for an integer n by repeated squaring with the ``*`` of u (a
+    float, an ndarray or a Jet3), so a value is its jet's d0 bit for bit;
+    valid for any base, and a float overflows to +-inf rather than raising."""
+    u0 = u.d0 if isinstance(u, Jet3) else u
+    if n <= 0:
+        if n < 0:
+            _refuse(u0 == 0.0, "zero base with negative exponent")
+        one = np.ones_like(np.asarray(u0, dtype=float))
+        one = Jet3.constant(one) if isinstance(u, Jet3) else one
+        return one if n == 0 else one / _powi(u, -n)
+    result = None
+    while n:
+        if n & 1:
+            result = u if result is None else result * u
+        n >>= 1
+        if n:
+            u = u * u
+    return result
 
 
 def _abs(u, c):
@@ -239,7 +232,10 @@ def _cos(u0, c):
 
 
 def _pow(u0, r):
-    """Fractional power with the constant exponent r."""
+    """Fractional power with the constant exponent r.  A scalar base is a
+    numpy float: the C library's pow either way, but inf where a Python
+    float would raise OverflowError."""
+    u0 = np.float64(u0) if np.ndim(u0) == 0 else u0
     yield u0 ** r
     yield r * u0 ** (r - 1.0)
     yield r * (r - 1.0) * u0 ** (r - 2.0)
@@ -425,7 +421,9 @@ class _Parser:
                 raise ParseError(pos, "pow exponent must be a constant")
             try:
                 r = float(_run(exponent, 0.0, False))
-            except (DomainError, OverflowError) as exc:
+                if not np.isfinite(r):
+                    raise DomainError(f"{r} is not finite")
+            except DomainError as exc:
                 raise ParseError(pos, f"invalid pow exponent: {exc}")
             self.tape.append(("powi", int(r)) if r.is_integer() else ("pow", r))
         else:

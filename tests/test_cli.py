@@ -463,26 +463,116 @@ def test_config_file_and_flag_override(tmp_path, capsys):
     assert report["result"]["value"] == pytest.approx(0.0625, rel=1e-12)
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ("verify-identity", "--f", "pow(x,4)", "--a", "1", "--b", "0", "--eta", "scaled:2"),
-        ("bound", "--f", "exp(x)", "--a", "1", "--b", "0", "--theorem", "T3.3", "--q", "3",
-         "--tight"),
-        ("check-hypothesis", "--check", "invex-set", "--eta", "scaled:3", "--dom", "0", "1",
-         "--sample", "0", "0.5", "--grid", "9"),
-        ("integrate", "--f", "sin(x)", "--a", "2", "--b", "0", "--with-true-error"),
-        ("suite", "--family", "mixed", "--trials", "4", "--seed", "3", "--grid", "9"),
-        ("tournament", "--f", "exp(2*x)", "--a", "1", "--b", "0"),
-        ("hh-classical", "--f", "exp(x)", "--a", "0", "--b", "1", "--grid", "9"),
-    ],
-    ids=lambda argv: argv[0],
-)
+# One run of each command.
+EVERY_COMMAND = [
+    ("verify-identity", "--f", "pow(x,4)", "--a", "1", "--b", "0", "--eta", "scaled:2"),
+    ("bound", "--f", "exp(x)", "--a", "1", "--b", "0", "--theorem", "T3.3", "--q", "3",
+     "--tight"),
+    ("check-hypothesis", "--check", "invex-set", "--eta", "scaled:3", "--dom", "0", "1",
+     "--sample", "0", "0.5", "--grid", "9"),
+    ("integrate", "--f", "sin(x)", "--a", "2", "--b", "0", "--with-true-error"),
+    ("suite", "--family", "mixed", "--trials", "4", "--seed", "3", "--grid", "9"),
+    ("tournament", "--f", "exp(2*x)", "--a", "1", "--b", "0"),
+    ("hh-classical", "--f", "exp(x)", "--a", "0", "--b", "1", "--grid", "9"),
+]
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
 def test_report_config_reruns_the_command(tmp_path, capsys, argv):
     code, out, _ = invoke(capsys, *argv)
     path = tmp_path / "config.json"
     path.write_text(json.dumps(json.loads(out)["config"]))
     assert invoke(capsys, argv[0], "--config", str(path)) == (code, out, "")
+
+
+def _report_and_text(monkeypatch, capsys, argv):
+    """The report object a command hands to ``_emit``, and the text printed."""
+    seen = []
+
+    def emit(report, *args, **kwargs):
+        seen.append(report)
+        _emit(report, *args, **kwargs)
+
+    monkeypatch.setattr(etaquad.cli, "_emit", emit)
+    _, out, _ = invoke(capsys, *argv)
+    return seen[0], out
+
+
+def _assert_plain_json(obj, path="report"):
+    if type(obj) is dict:
+        for k, v in obj.items():
+            assert type(k) is str, path
+            _assert_plain_json(v, f"{path}.{k}")
+    elif type(obj) is list:
+        for i, v in enumerate(obj):
+            _assert_plain_json(v, f"{path}[{i}]")
+    else:
+        assert type(obj) in (str, int, float, bool, type(None)), (path, type(obj))
+
+
+def _line_count(obj) -> int:
+    """Lines of the layout: a container of containers opens and closes on
+    lines of its own; a scalar or a flat container takes one line."""
+    children = list(obj.values()) if isinstance(obj, dict) else obj
+    if not isinstance(obj, (dict, list)) or not any(isinstance(c, (dict, list)) for c in children):
+        return 1
+    return 2 + sum(_line_count(c) for c in children)
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_json_report_layout(monkeypatch, capsys, argv):
+    report, out = _report_and_text(monkeypatch, capsys, argv)
+    # Only plain Python values reach the writer: no numpy scalar or array, no tuple.
+    _assert_plain_json(report)
+    parsed = json.loads(out)
+    assert parsed == json.loads(json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False))
+    lines = out.splitlines()
+    assert len(lines) == _line_count(parsed)
+    assert all((len(line) - len(line.lstrip(" "))) % 2 == 0 for line in lines)
+    if argv[0] == "suite":
+        rows = parsed["result"]["rows"]
+        row_lines = [line for line in lines if line.startswith('      {"trial": ')]
+        assert [json.loads(line.rstrip(",")) for line in row_lines] == rows
+        assert len(rows) == 4 * 6
+        assert '"argmax": {"trial": ' in out
+
+
+# Header and line count of each command's CSV report.
+CSV_SHAPE = {
+    "verify-identity": ("key,value", 22),
+    "bound": ("key,value", 28),
+    "check-hypothesis": ("key,value", 25),
+    "integrate": ("key,value", 278),
+    "suite": (",".join(CSV_COLUMNS), 25),
+    "tournament": ("key,value", 51),
+    "hh-classical": ("key,value", 18),
+}
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_csv_report_shape(capsys, argv):
+    _, out, _ = invoke(capsys, *argv, "--format", "csv")
+    lines = out.splitlines()
+    assert (lines[0], len(lines)) == CSV_SHAPE[argv[0]]
+
+
+def test_json_writer_puts_flat_containers_on_one_line():
+    report = {"a": [1, 2.5], "b": {"c": [], "d": {"e": None}}, "f": [{"g": "é"}, [True]], "h": 0}
+    assert etaquad.cli._json(report) == (
+        '{\n'
+        '  "a": [1, 2.5],\n'
+        '  "b": {\n'
+        '    "c": [],\n'
+        '    "d": {"e": null}\n'
+        '  },\n'
+        '  "f": [\n'
+        '    {"g": "é"},\n'
+        '    [true]\n'
+        '  ],\n'
+        '  "h": 0\n'
+        '}'
+    )
+    assert etaquad.cli._json([]) == "[]"
 
 
 def test_config_file_errors(tmp_path, capsys):

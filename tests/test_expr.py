@@ -198,6 +198,97 @@ def test_scalar_integer_power_overflows_to_inf():
     assert type(parse("pow(x,400)").value(10.0)) is float
 
 
+# Integer powers run one repeated-squaring routine on both lanes; each case
+# is checked on the value and on the jet's d0, for a scalar and an array,
+# with every warning turned into an error.
+SCALAR_AND_ARRAY = pytest.mark.parametrize("shape", [None, (3,)], ids=["scalar", "array"])
+
+
+def _at(x, shape):
+    return x if shape is None else np.full(shape, x)
+
+
+def _both_lanes(source, x):
+    f = parse(source)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return f.value(x), f.jet3(x).d0
+
+
+@SCALAR_AND_ARRAY
+@pytest.mark.parametrize("x", [2.0, -0.5, 0.0])
+def test_integer_power_zero_is_one(shape, x):
+    for got in _both_lanes("pow(x, 0)", _at(x, shape)):
+        assert np.array_equal(got, _at(1.0, shape))
+    j = parse("pow(x, 0)").jet3(_at(x, shape))
+    assert all(np.array_equal(d, _at(0.0, shape)) for d in (j.d1, j.d2, j.d3))
+
+
+@SCALAR_AND_ARRAY
+@pytest.mark.parametrize("source,x,want", [
+    ("pow(x, -1)", 4.0, 0.25),
+    ("pow(x, -3)", 2.0, 0.125),
+    ("pow(x, -3)", -0.5, -8.0),
+    ("pow(x, -6)", 0.5, 64.0),
+])
+def test_integer_power_negative_is_reciprocal(shape, source, x, want):
+    for got in _both_lanes(source, _at(x, shape)):
+        assert np.array_equal(got, _at(want, shape))
+
+
+@SCALAR_AND_ARRAY
+@pytest.mark.parametrize("n", [-1, -2, -5])
+def test_integer_power_zero_base_refused(shape, n):
+    f = parse(f"pow(x, {n})")
+    x = 0.0 if shape is None else np.array([1.0, 0.0, 2.0])
+    with pytest.raises(DomainError, match="zero base with negative exponent"):
+        f.value(x)
+    with pytest.raises(DomainError, match="zero base with negative exponent"):
+        f.jet3(x)
+
+
+@SCALAR_AND_ARRAY
+@pytest.mark.parametrize("source,x,want", [
+    ("pow(x, 400)", 10.0, math.inf),
+    ("pow(x, 401)", -10.0, -math.inf),
+    ("pow(x, 1025)", 2.0, math.inf),
+    ("pow(x, 3)", 1e200, math.inf),
+])
+def test_integer_power_overflows_to_inf(shape, source, x, want):
+    for got in _both_lanes(source, _at(x, shape)):
+        assert np.array_equal(got, _at(want, shape))
+
+
+@SCALAR_AND_ARRAY
+def test_integer_power_tiny_base_negative_exponent(shape):
+    # The value lane divides by an underflowed zero and gives +inf; the
+    # jet lane's quotient rule refuses the zero divisor.
+    f = parse("pow(x, -400)")
+    x = _at(1e-10, shape)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.array_equal(f.value(x), _at(math.inf, shape))
+    with pytest.raises(DomainError, match="division by zero"):
+        f.jet3(x)
+
+
+def test_fractional_power_of_a_scalar_overflows_to_inf():
+    # x^(r-3) overflows in the third derivative; a Python float power
+    # would raise OverflowError where the array lane gives inf.
+    x = 7.440868092319454e-106
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        j = parse("pow(x, -0.5)").jet3(x)
+        assert j.d3 == -math.inf and type(j.d3) is float
+        assert j.d0 == parse("pow(x, -0.5)").jet3(np.array([x])).d0[0]
+
+
+@pytest.mark.parametrize("exponent", ["pow(10, 400.5)", "exp(1000)", "1e400", "exp(800) - exp(800)"])
+def test_non_finite_pow_exponent_is_refused(exponent):
+    with pytest.raises(ParseError, match="invalid pow exponent: (inf|nan) is not finite"):
+        parse(f"pow(x, {exponent})")
+
+
 def test_vectorised_domain_error_if_any_point_bad():
     f = parse("log(x)")
     with pytest.raises(DomainError):

@@ -6,6 +6,7 @@ parser or the jet rules."""
 
 import math
 
+import numpy as np
 import pytest
 
 mpmath = pytest.importorskip("mpmath")
@@ -129,3 +130,46 @@ def test_random_expression_jets_match_mpmath(expr, x):
     want = reference_jet(source, x)
     hypothesis.assume(all(mpmath.isfinite(w) and abs(w) < 1e300 for w in want))
     _assert_jet_close(source, x, rel=1e-9)
+
+
+@hypothesis.settings(
+    max_examples=300,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[hypothesis.HealthCheck.too_slow],
+)
+@hypothesis.given(expressions, st.floats(-2.0, 2.0, allow_nan=False))
+def test_values_are_the_jets_d0_bit_for_bit(expr, x):
+    # One tape loop and one primitive per operation serve both lanes, so
+    # wherever a jet evaluates, the value is its d0 to the last bit.
+    f = parse(expr[0])
+    for point in (x, x + np.linspace(0.0, 0.5, 5)):
+        try:
+            d0 = f.jet3(point).d0
+        except DomainError:
+            continue
+        value = f.value(point)
+        assert type(value) is type(d0)
+        assert np.asarray(value).tobytes() == np.asarray(d0).tobytes(), (expr[0], point)
+
+
+# Higham, Accuracy and Stability of Numerical Algorithms (2002), section 3.1:
+# a product of n factors formed by any order of multiplications, so also
+# x^n by repeated squaring, has relative error at most gamma_(n-1), and the
+# reciprocal for a negative n adds one more rounding.
+UNIT_ROUNDOFF = 2.0 ** -53
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 7, 16, 31, -1, -2, -3, -8])
+def test_integer_power_within_highams_bound(n):
+    roundings = abs(n) - 1 + (n < 0)
+    gamma = roundings * UNIT_ROUNDOFF / (1.0 - roundings * UNIT_ROUNDOFF)
+    xs = np.random.default_rng(abs(n)).uniform(0.3, 3.0, 200) * np.resize([1.0, -1.0], 200)
+    f = parse(f"pow(x, {n})")
+    values = f.value(xs)
+    assert values.tobytes() == f.jet3(xs).d0.tobytes()
+    assert [f.value(x) for x in xs[:20]] == values[:20].tolist()
+    with mpmath.workdps(40):
+        for x, got in zip(xs.tolist(), values.tolist()):
+            exact = mpmath.mpf(x) ** n
+            assert abs(got - exact) <= gamma * abs(exact), (n, x, got)
