@@ -25,13 +25,16 @@ loop runs the tape for values and for jets, and each primitive is written
 once.
 
 Evaluation is numpy-vectorised: passing an ndarray evaluates elementwise
-and returns arrays of the input shape.  Scalar inputs return plain floats.
+and returns read-only arrays of the input shape, computed in slices of
+EVAL_CHUNK points bit for bit as one run would, so callers never slice.
+Scalar inputs return plain floats.
 Jets propagate the value and first three derivatives through every
 operation, so no finite differencing is involved anywhere.
 """
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 from dataclasses import dataclass
@@ -49,6 +52,10 @@ __all__ = [
 
 # Jets of abs(u) refuse to evaluate when |u| is at or below this.
 KINK_TOL = 1e-12
+# Points per run of the tape.  A jet makes dozens of temporaries of the
+# run's size; at this size they stay in cache and are reused from the heap
+# instead of being mapped from the system, zeroed and unmapped each time.
+EVAL_CHUNK = 1 << 13
 
 
 class ParseError(ValueError):
@@ -258,10 +265,10 @@ _UNARY = {
 
 @np.errstate(all="ignore")
 def _run(tape, x, jet: bool, args=()):
-    """Run the tape at x with the parameter values ``args``; returns a
-    value or a Jet3.  Overflow and invalid operations give inf and nan
-    without a warning; the callers that need finite numbers check for
-    them."""
+    """Run the tape at x with the parameter values ``args``; returns the
+    value, or the jet's d0..d3, as a tuple.  Overflow and invalid
+    operations give inf and nan without a warning; the callers that need
+    finite numbers check for them."""
     var = Jet3.variable(x) if jet else x
     stack = []
     for op, c in tape:
@@ -275,7 +282,8 @@ def _run(tape, x, jet: bool, args=()):
         else:
             value = args[c] if op == "param" else c
             stack.append(Jet3.constant(value) if jet else value)
-    return stack.pop()
+    out = stack.pop()
+    return (out.d0, out.d1, out.d2, out.d3) if jet else (out,)
 
 
 # ---------------------------------------------------------------------------
@@ -420,7 +428,7 @@ class _Parser:
             if any(op in ("var", "param") for op, _ in exponent):
                 raise ParseError(pos, "pow exponent must be a constant")
             try:
-                r = float(_run(exponent, 0.0, False))
+                r = float(_run(exponent, 0.0, False)[0])
                 if not np.isfinite(r):
                     raise DomainError(f"{r} is not finite")
             except DomainError as exc:
@@ -430,13 +438,7 @@ class _Parser:
             self.tape.append((name, None))
 
 
-def _shaped(out, x, args):
-    """A read-only array of the broadcast shape of x and the parameter
-    values when any of them is an ndarray, else a float."""
-    arrays = [v.shape for v in (x, *args) if isinstance(v, np.ndarray)]
-    if not arrays:
-        return float(out)
-    shape = arrays[0] if len(arrays) == 1 else np.broadcast_shapes(*arrays)
+def _readonly(out, shape):
     out = np.asarray(out, dtype=float)
     if out.shape != shape:
         return np.broadcast_to(out, shape)
@@ -444,6 +446,28 @@ def _shaped(out, x, args):
     out = out.view()
     out.flags.writeable = False
     return out
+
+
+def _evaluate(tape, x, jet: bool, args) -> list:
+    """_run's components as floats when none of x and ``args`` is an
+    ndarray, else as read-only arrays of their broadcast shape, run on
+    flat slices of EVAL_CHUNK points when that shape holds more."""
+    # An int x would run the tape in integer arithmetic: OverflowError, not inf.
+    x = x if isinstance(x, np.ndarray) else float(x)
+    shapes = [v.shape for v in (x, *args) if isinstance(v, np.ndarray)]
+    if not shapes:
+        return [float(c) for c in _run(tape, x, jet, args)]
+    shape = shapes[0] if len(shapes) == 1 else np.broadcast_shapes(*shapes)
+    if (size := math.prod(shape)) <= EVAL_CHUNK:
+        return [_readonly(c, shape) for c in _run(tape, x, jet, args)]
+    flat = [(v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
+            if isinstance(v, np.ndarray) else v for v in (x, *args)]
+    out = [np.empty(size) for _ in range(4 if jet else 1)]
+    for i in range(0, size, EVAL_CHUNK):
+        part = [v[i : i + EVAL_CHUNK] if isinstance(v, np.ndarray) else v for v in flat]
+        for buf, c in zip(out, _run(tape, part[0], jet, part[1:])):
+            buf[i : i + EVAL_CHUNK] = c
+    return [_readonly(buf.reshape(shape), shape) for buf in out]
 
 
 class Expression:
@@ -475,15 +499,12 @@ class Expression:
         return tuple([bound[name] for name in self.params])
 
     def value(self, x, **params):
-        args = self._args(params)
-        return _shaped(_run(self.tape, x, False, args), x, args)
+        return _evaluate(self.tape, x, False, self._args(params))[0]
 
     __call__ = value  # unused in the package; perfbench/tracer.py wraps it by name
 
     def jet3(self, x, **params) -> Jet3:
-        args = self._args(params)
-        j = _run(self.tape, x, True, args)
-        return Jet3(*(_shaped(c, x, args) for c in (j.d0, j.d1, j.d2, j.d3)))
+        return Jet3(*_evaluate(self.tape, x, True, self._args(params)))
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -4,16 +4,18 @@ at once.
 The integrand must accept ndarray input (every function in this package
 does).  One driver runs level by level over every pending interval of
 every segment, so each refinement level is one vectorised call of the
-integrand (in slices of EVAL_CHUNK points) however many segments there
-are.  Each interval carries the index of its segment.  Every interval
-pending at a level has been split as often as every other, so they share
-one acceptance threshold: 15*tol at the first level, halved at each next
-one, which is 15*tol*(width/total) to the bit.  Acceptance is by the
-Richardson-extrapolated discrepancy against that threshold, so the
-accepted local errors of a segment sum to at most the requested
-tolerance under the usual smoothness heuristics.  ``np.bincount`` adds
-each segment's accepted intervals in the order a run of that segment
-alone would, so its result does not depend on the other segments.
+integrand however many segments there are.  The call is made in slices of
+``expr.EVAL_CHUNK`` points, as expressions slice their own runs, since the
+integrand may be any callable (a kernel, or a gather of per-segment
+parameters).  Each interval carries the index of its segment.  Every
+interval pending at a level has been split as often as every other, so
+they share one acceptance threshold: 15*tol at the first level, halved at
+each next one, which is 15*tol*(width/total) to the bit.  Acceptance is by
+the Richardson-extrapolated discrepancy against that threshold, so the
+accepted local errors of a segment sum to at most the requested tolerance
+under the usual smoothness heuristics.  ``np.bincount`` adds each
+segment's accepted intervals in the order a run of that segment alone
+would, so its result does not depend on the other segments.
 
 A non-finite value is never accepted, so it raises ConvergenceError at
 once, naming the segment when there are several, as do more than MAX_LIVE
@@ -25,15 +27,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .expr import EVAL_CHUNK
+
 __all__ = ["ConvergenceError", "integrate", "integrate_segments"]
 
 MAX_DEPTH = 40
 MAX_LIVE = 1 << 20
-# Points per call of the integrand.  A deep level holds 10^5 points or
-# more, and an integrand such as a jet makes dozens of temporaries of that
-# size; in slices they stay in cache and are reused from the heap instead
-# of being mapped from the system, zeroed and unmapped on every call.
-EVAL_CHUNK = 1 << 13
 
 
 class ConvergenceError(RuntimeError):

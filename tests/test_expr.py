@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from etaquad import DomainError, Jet3, ParseError, parse
+from etaquad.expr import EVAL_CHUNK
 
 
 def fd_jet(fn, x):
@@ -196,6 +197,14 @@ def test_scalar_integer_power_overflows_to_inf():
     assert parse("pow(x,400)").value(np.array([10.0]))[0] == math.inf
     assert parse("pow(x,7)").value(1.1) == 1.1 ** 7
     assert type(parse("pow(x,400)").value(10.0)) is float
+
+
+def test_python_int_x_runs_in_float_arithmetic():
+    # Integer arithmetic would raise OverflowError where a float gives inf.
+    f = parse("pow(x,400)")
+    assert f.value(10) == math.inf
+    assert f.jet3(10).d0 == math.inf
+    assert type(f.value(3)) is float and f.value(3) == f.value(3.0)
 
 
 # Integer powers run one repeated-squaring routine on both lanes; each case
@@ -475,3 +484,88 @@ def test_negative_literal_is_one_constant():
     # Its jet has zero derivatives of positive sign, as a parameter's does.
     j = parse("(-1.5)*x").jet3(np.array([0.0, 1.0]))
     assert np.signbit(j.d2).tolist() == [False, False]
+
+
+# --- sliced evaluation -----------------------------------------------------
+# Inputs of more than EVAL_CHUNK points run the tape slice by slice; the
+# reference runs each piece below that size as one call.
+
+SLICED = 3 * EVAL_CHUNK + 5
+
+
+def _components(f, x, jet, **params):
+    out = f.jet3(x, **params) if jet else f.value(x, **params)
+    return (out.d0, out.d1, out.d2, out.d3) if jet else (out,)
+
+
+def assert_sliced_matches_pieces(f, x, jet, **params):
+    """Whole-input results equal, bit for bit, the concatenation of runs on
+    pieces of EVAL_CHUNK - 1 points."""
+    whole = _components(f, x, jet, **params)
+    step = EVAL_CHUNK - 1
+    pieces = [_components(f, x[i : i + step], jet, **params) for i in range(0, x.size, step)]
+    for k, got in enumerate(whole):
+        assert got.tobytes() == np.concatenate([p[k] for p in pieces]).tobytes(), (f, jet, k)
+
+
+@pytest.mark.parametrize("source,x0", CORPUS + [("3", 0.0), ("abs(x-0.3)", 0.0)])
+@pytest.mark.parametrize("jet", [False, True])
+def test_sliced_evaluation_matches_pieces(source, x0, jet):
+    x = x0 + np.linspace(0.05, 0.5, SLICED)
+    assert_sliced_matches_pieces(parse(source), x, jet)
+
+
+def test_sliced_parameter_grid_matches_rows():
+    # The (trials x grid) jet of the harness: column parameters broadcast
+    # against path points, 150 * 65 points in all.
+    f = parse("c*exp(lam*x)*sin(w*x)+pow(x,6)", ("c", "lam", "w"))
+    rng = np.random.default_rng(3)
+    b, h = rng.uniform(-1.0, 0.0, (150, 1)), rng.uniform(0.5, 2.0, (150, 1))
+    params = {k: rng.uniform(0.5, 3.0, (150, 1)) for k in f.params}
+    path = b + np.linspace(0.0, 1.0, 65) * h
+    assert path.size > EVAL_CHUNK
+    values = f.value(path, **params)
+    jets = f.jet3(path, **params)
+    for k in range(150):
+        row = {name: v[k] for name, v in params.items()}
+        assert values[k].tobytes() == f.value(path[k], **row).tobytes()
+        one = f.jet3(path[k], **row)
+        for got, want in zip((jets.d0, jets.d1, jets.d2, jets.d3), (one.d0, one.d1, one.d2, one.d3)):
+            assert got[k].tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("jet", [False, True])
+def test_sliced_non_contiguous_input_matches_rows(jet):
+    f = parse("exp(x)*sin(3.03*x)+log(2+x)/(1+x*x)")
+    x = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 200))[:, ::2]
+    assert not x.flags.c_contiguous and x.size > EVAL_CHUNK
+    whole = _components(f, x, jet)
+    rows = [_components(f, x[k], jet) for k in range(x.shape[0])]
+    for c, got in enumerate(whole):
+        assert got.tobytes() == np.stack([r[c] for r in rows]).tobytes()
+    for c, got in enumerate(_components(f, x.T, jet)):
+        assert got.tobytes() == whole[c].T.tobytes()
+
+
+@pytest.mark.parametrize("source", ["exp(x)*sin(x)", "3", "c*x"])
+def test_sliced_outputs_are_read_only_float_arrays_of_the_broadcast_shape(source):
+    f = parse(source, ("c",) if "c" in source else ())
+    params = {"c": np.arange(3.0).reshape(3, 1)} if f.params else {}
+    for x in (np.linspace(0.0, 1.0, SLICED), np.arange(SLICED)):
+        shape = (3, SLICED) if f.params else (SLICED,)
+        for out in (f.value(x, **params), *_components(f, x, True, **params)):
+            assert out.shape == shape and out.dtype == np.float64
+            assert not out.flags.writeable
+
+
+@pytest.mark.parametrize(
+    "source,bad,jet",
+    [("log(x)", 0.0, False), ("log(x)", -1.0, True), ("1/x", 0.0, False), ("1/x", 0.0, True),
+     ("abs(x)", 0.0, True)],
+)
+def test_sliced_domain_error_in_the_last_slice(source, bad, jet):
+    x = np.linspace(1.0, 2.0, SLICED)
+    x[-1] = bad
+    assert x.size - 1 >= 3 * EVAL_CHUNK  # the bad point is alone in the last slice
+    with pytest.raises(DomainError):
+        _components(parse(source), x, jet)

@@ -15,7 +15,7 @@ st = hypothesis.strategies
 
 from etaquad import DomainError, parse  # noqa: E402
 
-from test_expr import CORPUS  # noqa: E402
+from test_expr import CORPUS, SLICED, assert_sliced_matches_pieces  # noqa: E402
 
 _NAMES = {
     "exp": mpmath.exp,
@@ -151,6 +151,22 @@ def test_values_are_the_jets_d0_bit_for_bit(expr, x):
         value = f.value(point)
         assert type(value) is type(d0)
         assert np.asarray(value).tobytes() == np.asarray(d0).tobytes(), (expr[0], point)
+
+
+@hypothesis.settings(
+    max_examples=100,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[hypothesis.HealthCheck.too_slow],
+)
+@hypothesis.given(expressions, st.floats(-2.0, 2.0, allow_nan=False), st.booleans())
+def test_sliced_runs_match_pieces_bit_for_bit(expr, x, jet):
+    # An input with a point outside the domain is refused whole: nothing to compare.
+    points = x + np.linspace(0.0, 0.5, SLICED)
+    try:
+        assert_sliced_matches_pieces(parse(expr[0]), points, jet)
+    except DomainError:
+        hypothesis.reject()
 
 
 # Higham, Accuracy and Stability of Numerical Algorithms (2002), section 3.1:

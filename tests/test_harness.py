@@ -7,6 +7,7 @@ import pytest
 
 from etaquad import (
     BoundSpec,
+    ConvergenceError,
     DifferenceMap,
     FAMILIES,
     Instance,
@@ -298,6 +299,13 @@ def test_hh_classical_concave_fails():
     a, b, t = rep.witness
     assert (a, b) == (0.0, 2.0)
     assert t in (0.5, 1.0)
+
+
+def test_hh_classical_with_int_ends_names_the_overflow():
+    # The ends run as floats, so x^400 overflows to inf at x = 10 and the
+    # oracle refuses it by name instead of raising OverflowError.
+    with pytest.raises(ConvergenceError, match=r"integrand is inf at x = 10\.0"):
+        check_hh_classical(parse("pow(x,400)"), 0, 10)
 
 
 def test_hh_classical_needs_ordered_interval():

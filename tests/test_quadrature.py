@@ -1,5 +1,6 @@
 """Certified corrected-trapezoid integration."""
 
+import json
 import math
 
 import numpy as np
@@ -15,6 +16,7 @@ from etaquad import (
     parse,
     true_error,
 )
+from etaquad import expr
 
 
 def exact_poly_x4(seg):
@@ -190,3 +192,15 @@ def test_sup_mode_sound_and_not_smaller():
         assert sup.value == hyp.value
         assert true_error(f, sup) <= sup.certificate * (1.0 + 1e-9)
         assert sup.mode == "sup" and hyp.mode == "hypothesis"
+
+
+@pytest.mark.parametrize("policy", [{"fixed_n": 4096}, {"target": 1e-9}])
+def test_sup_certificate_does_not_depend_on_the_slice_size(monkeypatch, policy):
+    # The sup grid of 33 points per subinterval runs in slices; one run of
+    # the whole grid must give the same report to the byte.
+    f = parse("exp(x)*sin(3.03*x)+pow(x,6)")
+    seg = PathSegment(0.0, 2.0)
+    sliced = json.dumps(integrate_certified(f, seg, mode="sup", **policy).to_json())
+    monkeypatch.setattr(expr, "EVAL_CHUNK", 1 << 30)
+    whole = json.dumps(integrate_certified(f, seg, mode="sup", **policy).to_json())
+    assert sliced == whole
