@@ -32,7 +32,7 @@ print(f"\ncertificate slope: {slope:.4f}  (n^-3 expected)")
 # share of the target, one level at a time
 res = integrate_certified(f, seg, target=1e-9)
 print(f"\nadaptive: n={res.n}, certificate={res.certificate:.3e}")
-widths = sorted(abs(p.right - p.left) for p in res.partition)
+widths = np.sort(np.abs(res.right - res.left))
 print(f"widths range from {widths[0]:.4f} to {widths[-1]:.4f}")
 
 # sup mode samples |f'''| instead of trusting the chord hypothesis

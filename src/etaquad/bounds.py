@@ -37,19 +37,21 @@ __all__ = [
     "bound",
 ]
 
-# selector -> (hypothesis the bound assumes for |f'''|^q along the path,
-# whether it needs q > 1 for the conjugate exponent; q >= 1 otherwise).
+# selector -> (hypothesis the bound assumes for |f'''|^r along the path,
+# whether it needs q > 1 for the conjugate exponent (q >= 1 otherwise),
+# the exponent r: None for the spec's q).  C2.1's value h^4/384*(A+B) is
+# T2.1 at q = 1, so it holds only where |f'''| itself is preinvex.
 SELECTORS = {
-    "T2.1": ("preinvex", False),
-    "T2.2": ("preinvex", True),
-    "T2.3": ("preinvex", True),
-    "T3.1": ("prequasiinvex", False),
-    "T3.2": ("prequasiinvex", True),
-    "T3.3": ("prequasiinvex", True),
-    "C2.1": ("preinvex", False),
-    "C2.2": ("preinvex", False),
-    "C2.3": ("prequasiinvex", False),
-    "C2.4": ("prequasiinvex", False),
+    "T2.1": ("preinvex", False, None),
+    "T2.2": ("preinvex", True, None),
+    "T2.3": ("preinvex", True, None),
+    "T3.1": ("prequasiinvex", False, None),
+    "T3.2": ("prequasiinvex", True, None),
+    "T3.3": ("prequasiinvex", True, None),
+    "C2.1": ("preinvex", False, 1.0),
+    "C2.2": ("preinvex", False, None),
+    "C2.3": ("prequasiinvex", False, None),
+    "C2.4": ("prequasiinvex", False, None),
 }
 
 # The six theorems, in the tournament's tie-break order.
@@ -76,8 +78,13 @@ class BoundSpec:
 
     @property
     def hypothesis(self) -> str:
-        """What the bound assumes of |f'''|^q: preinvex or prequasiinvex."""
+        """What the bound assumes of |f'''|^r: preinvex or prequasiinvex."""
         return SELECTORS[self.theorem][0]
+
+    @property
+    def hypothesis_q(self) -> float:
+        """The exponent r of the hypothesis on |f'''|^r: q, or 1 for C2.1."""
+        return SELECTORS[self.theorem][2] or self.q
 
     @property
     def p(self) -> float:

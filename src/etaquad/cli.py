@@ -12,7 +12,8 @@ Each option is declared once, in ``OPTIONS``, and each command once, in
 ``--config`` file, else its default.
 
 Exit codes: 0 pass/success, 1 detected violation or failed check, 2
-usage or configuration error.
+usage or configuration error, or a report holding a NaN or inf (no report
+is written then).
 """
 
 from __future__ import annotations
@@ -22,6 +23,7 @@ import csv
 import functools
 import io
 import json
+import math
 import sys
 
 from . import __version__
@@ -106,9 +108,16 @@ def _json(obj, pad: str = "\n") -> str:
 
 
 def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
+    """Write the report; a NaN or inf in it is a ValueError that names its
+    key, raised before anything is written."""
     if fmt == "json":
-        text = _json(report) + "\n"
+        try:
+            text = _json(report) + "\n"
+        except ValueError:  # the encoder refuses NaN and inf
+            _refuse_non_finite(report)
+            raise
     else:
+        _refuse_non_finite(report)
         buf = io.StringIO()
         if csv_rows is not None:
             writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
@@ -124,6 +133,12 @@ def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
+
+
+def _refuse_non_finite(report: dict) -> None:
+    for key, value in _flatten(report):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{key} is {value}; a report holds finite numbers only")
 
 
 def _flatten(obj, prefix=""):
@@ -395,14 +410,14 @@ def run(argv: list[str]) -> int:
     try:
         cfg = _resolve(args, defaults)
         code, result, passed, csv_rows = handler(cfg)
+        cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
+        report = {"command": args.command, "version": __version__, "config": cfg,
+                  "result": result, "passed": passed}
+        _emit(report, cfg["out"], cfg["format"], csv_rows=csv_rows)
     except (ValueError, ConvergenceError) as exc:  # UsageError, ParseError, DomainError, ...
         what = "bad expression: " if isinstance(exc, ParseError) else ""
         print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)
         return 2
-    cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
-    report = {"command": args.command, "version": __version__, "config": cfg,
-              "result": result, "passed": passed}
-    _emit(report, cfg["out"], cfg["format"], csv_rows=csv_rows)
     return code
 
 

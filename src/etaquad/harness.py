@@ -3,11 +3,11 @@
 Each trial draws a function from a named family and a segment, computes
 the exact remainder |integral - Q| with adaptive quadrature, gates every
 bound on the hypothesis it actually needs (the chord or max inequality
-for |f'''|^q sampled along the path), and records the ratio remainder /
-bound.  A violation is a hypothesis-passing trial with ratio above
-1 + 1e-9.  All randomness flows from one counter-based generator, so a
-seed reproduces a campaign exactly, and extending the trial count only
-appends trials.
+for |f'''|^q, or |f'''| for C2.1, sampled along the path), and records
+the ratio remainder / bound.  A violation is a hypothesis-passing trial
+with ratio above 1 + 1e-9.  All randomness flows from one counter-based
+generator, so a seed reproduces a campaign exactly, and extending the
+trial count only appends trials.
 
 A family is one expression template with named parameters.  A campaign
 draws every trial first, then evaluates the trials of each family
@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -39,7 +39,6 @@ __all__ = [
     "Family",
     "FAMILIES",
     "Instance",
-    "TrialRow",
     "CampaignReport",
     "run_inequality_suite",
     "tournament",
@@ -95,7 +94,7 @@ class Family:
         return re.sub(pattern, lambda m: f"({values[m.group()]!r})", self.template)
 
     def build(self, params: np.ndarray) -> tuple[Expression, float, float]:
-        b, h = _segments(np.asarray(params)[None, :])
+        _, b, h = _segments(np.asarray(params)[None, :])
         return parse(self.source(params)), float(b[0]), float(h[0])
 
     def bind(self, draws: np.ndarray) -> dict:
@@ -109,8 +108,10 @@ def _clamp_h(h):
 
 
 def _segments(draws: np.ndarray):
-    """Base points b and clamped displacements h of a draw matrix."""
-    return draws[:, -2], _clamp_h(draws[:, -1])
+    """Ends a = b + h, base points b and clamped displacements h of a draw
+    matrix."""
+    b, h = draws[:, -2], _clamp_h(draws[:, -1])
+    return b + h, b, h
 
 
 def _poly(degree: int) -> tuple[str, tuple[str, ...]]:
@@ -153,39 +154,13 @@ class Instance:
         return PathSegment.from_eta(self.emap, self.a, self.b)
 
     def summary(self) -> dict:
-        out = {
-            "f": self.f.source,
-            "eta": self.emap.to_json(),
-            "a": self.a,
-            "b": self.b,
-        }
-        if self.spec is not None:
-            out["theorem"] = self.spec.theorem
-            out["q"] = self.spec.q
-        return out
-
-
-@dataclass(frozen=True)
-class TrialRow:
-    trial: int
-    family: str
-    a: float
-    b: float
-    h: float
-    theorem: str
-    q: float
-    lhs: float
-    bound: float
-    ratio: float
-    hypothesis_pass: bool
-
-    def to_json(self) -> dict:
-        return {col: getattr(self, col) for col in CSV_COLUMNS}
+        out = {"f": self.f.source, "eta": self.emap.to_json(), "a": self.a, "b": self.b}
+        return out if self.spec is None else {**out, **self.spec.to_json()}
 
 
 @dataclass
 class CampaignReport:
-    """Campaign totals plus the per-bound breakdown and raw rows."""
+    """Campaign totals, the per-bound table and the rows, dicts keyed by CSV_COLUMNS."""
 
     trials: int
     hypothesis_passed: int
@@ -193,18 +168,10 @@ class CampaignReport:
     max_ratio: float
     argmax: dict | None
     table: list[dict]
-    rows: list[TrialRow] = field(default_factory=list, repr=False)
+    rows: list[dict] = field(default_factory=list, repr=False)
 
     def to_json(self) -> dict:
-        return {
-            "trials": self.trials,
-            "hypothesis_passed": self.hypothesis_passed,
-            "violations": self.violations,
-            "max_ratio": self.max_ratio,
-            "argmax": self.argmax,
-            "table": self.table,
-            "rows": [r.to_json() for r in self.rows],
-        }
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def _safe_ratio(lhs_abs, bnd):
@@ -213,18 +180,16 @@ def _safe_ratio(lhs_abs, bnd):
     return np.divide(lhs_abs, bnd, out=ratio, where=bnd > 0.0)
 
 
-def _evaluate(f, params: dict, b, h, specs, grid_n: int, ends=None):
+def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
     """The remainders over [b, b + h] and, per spec, the arrays (bound,
-    ratio, gate passed) for a batch of segments; the bound is a float
-    where h, A and B are.
+    ratio, gate passed) for a batch of segments.
 
-    ``b`` and ``h`` are floats for one segment or arrays with one entry
-    per segment, and f's parameters bind to ``params``, arrays with one
-    entry per segment.  A and B are read at the path ends (t = 1 is
-    a = b + h), or at the points ``ends`` = (a, b) of an unparameterised
-    f.  The gate is the sampled hypothesis along the path, in the q-th
-    power form the bounds consume: chord (preinvex) or endpoint max
-    (prequasiinvex).
+    ``a``, ``b`` and ``h`` are floats for one segment or arrays with one
+    entry per segment, and f's parameters bind to ``params``, arrays with
+    one entry per segment.  A = |f'''(a)| and B = |f'''(b)| come from the
+    path grid's jet run.  The gate is the sampled hypothesis along the
+    path, in the power form the bound assumes (``hypothesis_q``): chord
+    (preinvex) or endpoint max (prequasiinvex).
     """
     t = path_grid(grid_n)
     q_value = corrected_trapezoid(f, PathSegment(b=b, h=h), **params)
@@ -237,20 +202,18 @@ def _evaluate(f, params: dict, b, h, specs, grid_n: int, ends=None):
     def column(v):
         return np.reshape(v, (-1, 1))
 
-    path = column(b) + t * column(h)
-    d3 = np.abs(f.jet3(path, **{k: column(v) for k, v in params.items()}).d3)
-    if ends is None:
-        data = DerivativeData(d3[:, -1], d3[:, 0])
-    else:
-        data = DerivativeData.from_function(f, *ends)
+    x = np.hstack((column(b) + t * column(h), column(a), column(b)))
+    d3 = np.abs(f.jet3(x, **{k: column(v) for k, v in params.items()}).d3)
+    data = DerivativeData(d3[:, -2], d3[:, -1])
+    d3 = d3[:, :-2]
     lhs_abs = np.abs(lhs)
-    gates = {}  # specs with one hypothesis and one q share their gate
+    gates = {}  # specs with one hypothesis and one exponent share their gate
     out = []
     for spec in specs:
         bnd = bound(spec, h, data).value
-        key = (spec.hypothesis, spec.q)
+        q = spec.hypothesis_q
+        key = (spec.hypothesis, q)
         if key not in gates:
-            q = spec.q
             fb, fa = (column(scalar_pow(e, q)) for e in (data.b3, data.a3))
             slack = chord_slack(d3 ** q, fb, fa, t, spec.hypothesis == "prequasiinvex")
             gates[key] = np.max(slack, axis=1) <= GATE_TOL
@@ -258,12 +221,12 @@ def _evaluate(f, params: dict, b, h, specs, grid_n: int, ends=None):
     return lhs, out
 
 
-def _tally(gated: list[TrialRow]) -> dict:
+def _tally(gated: list[dict]) -> dict:
     """Gate passes, violations and the largest ratio among gated rows."""
     return {
         "hypothesis_passed": len(gated),
-        "violations": sum(r.ratio > 1.0 + RATIO_SLACK for r in gated),
-        "max_ratio": max([0.0] + [r.ratio for r in gated]),
+        "violations": sum(r["ratio"] > 1.0 + RATIO_SLACK for r in gated),
+        "max_ratio": max([0.0] + [r["ratio"] for r in gated]),
     }
 
 
@@ -301,33 +264,33 @@ def run_inequality_suite(
         drawn.append((fam, fam.sample(rng)))
         groups.setdefault(fam, []).append(trial)
 
-    rows_of: list[list[TrialRow]] = [[] for _ in range(trials)]
+    rows_of: list[list[dict]] = [[] for _ in range(trials)]
     for fam, idx in groups.items():
         batch = np.array([drawn[i][1] for i in idx])
-        b, h = _segments(batch)
+        a, b, h = _segments(batch)
         f = parse(fam.template, fam.names)
-        lhs, results = _evaluate(f, fam.bind(batch), b, h, specs, grid_n)
-        a, b, h, lhs = (b + h).tolist(), b.tolist(), h.tolist(), lhs.tolist()
+        lhs, results = _evaluate(f, fam.bind(batch), a, b, h, specs, grid_n)
+        a, b, h, lhs = (col.tolist() for col in (a, b, h, lhs))
         results = [tuple(col.tolist() for col in res) for res in results]
         for j, i in enumerate(idx):
             rows_of[i] = [
-                TrialRow(i, fam.name, a[j], b[j], h[j], s.theorem, s.q, lhs[j],
-                         bnd[j], ratio[j], ok[j])
+                dict(zip(CSV_COLUMNS, (i, fam.name, a[j], b[j], h[j], s.theorem, s.q,
+                                       lhs[j], bnd[j], ratio[j], ok[j])))
                 for s, (bnd, ratio, ok) in zip(specs, results)
             ]
     rows = [row for trial_rows in rows_of for row in trial_rows]
 
-    gated = [r for r in rows if r.hypothesis_pass]
+    gated = [r for r in rows if r["hypothesis_pass"]]
     table = []
     for k, s in enumerate(specs):  # spec k owns every len(specs)-th row from row k
-        own = [r for r in rows[k :: len(specs)] if r.hypothesis_pass]
+        own = [r for r in rows[k :: len(specs)] if r["hypothesis_pass"]]
         table.append({"theorem": s.theorem, "q": s.q, **_tally(own)})
-    peak = max((r for r in gated if r.ratio > 0.0), key=lambda r: r.ratio, default=None)
+    peak = max((r for r in gated if r["ratio"] > 0.0), key=lambda r: r["ratio"], default=None)
     argmax = None
     if peak is not None:
-        fam, draw = drawn[peak.trial]
-        argmax = {"trial": peak.trial, "family": peak.family, "f": fam.source(draw)}
-        argmax.update((k, getattr(peak, k)) for k in CSV_COLUMNS[2:-1])
+        fam, draw = drawn[peak["trial"]]
+        argmax = {"trial": peak["trial"], "family": peak["family"], "f": fam.source(draw)}
+        argmax.update((k, peak[k]) for k in CSV_COLUMNS[2:-1])
     return CampaignReport(trials=len(rows), **_tally(gated), argmax=argmax, table=table, rows=rows)
 
 
@@ -349,10 +312,8 @@ def tournament(instance: Instance, q_grid: list[float], grid_n: int = 65) -> lis
                 pass
         if (q, "T2.1") not in specs:  # T2.1 and T3.1 hold wherever any bound does
             raise ValueError(f"no bound is defined at q = {q}")
-    lhs, results = _evaluate(
-        f, {}, instance.b, h, list(specs.values()), grid_n, ends=(instance.a, instance.b)
-    )
-    judged = {key: [float(bnd), float(ratio[0]), bool(ok[0])]
+    lhs, results = _evaluate(f, {}, instance.a, instance.b, h, list(specs.values()), grid_n)
+    judged = {key: [float(bnd[0]), float(ratio[0]), bool(ok[0])]
               for key, (bnd, ratio, ok) in zip(specs, results)}
 
     out = []

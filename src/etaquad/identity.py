@@ -15,7 +15,7 @@ identity doubles as a cross-check of the jet arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -78,13 +78,7 @@ class IdentityReport:
     passed: bool
 
     def to_json(self) -> dict:
-        return {
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "abs_diff": self.abs_diff,
-            "quadrature_error_estimate": self.quadrature_error_estimate,
-            "passed": self.passed,
-        }
+        return asdict(self)
 
 
 @np.errstate(all="ignore")  # arrays overflow to inf and nan silently, as floats do

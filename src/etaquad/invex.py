@@ -16,7 +16,7 @@ this grid", which is exactly what the harness needs for gating.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -118,15 +118,7 @@ class TablePiece:
             raise ValueError("piece rectangle must have positive extent")
 
     def to_json(self) -> dict:
-        return {
-            "u_lo": self.u_lo,
-            "u_hi": self.u_hi,
-            "v_lo": self.v_lo,
-            "v_hi": self.v_hi,
-            "c0": self.c0,
-            "cu": self.cu,
-            "cv": self.cv,
-        }
+        return asdict(self)
 
 
 @dataclass(frozen=True)
@@ -187,19 +179,8 @@ def eta_from_json(obj: dict) -> EtaMap:
     if kind == "paper_piecewise":
         return PiecewiseSignMap()
     if kind == "table":
-        pieces = tuple(
-            TablePiece(
-                float(p["u_lo"]),
-                float(p["u_hi"]),
-                float(p["v_lo"]),
-                float(p["v_hi"]),
-                float(p["c0"]),
-                float(p["cu"]),
-                float(p["cv"]),
-            )
-            for p in obj["pieces"]
-        )
-        return TableMap(pieces)
+        names = [f.name for f in fields(TablePiece)]
+        return TableMap(tuple(TablePiece(*(float(p[k]) for k in names)) for p in obj["pieces"]))
     raise ValueError(f"unknown direction map kind {kind!r}")
 
 

@@ -31,7 +31,6 @@ from .identity import PathSegment
 __all__ = [
     "MODES",
     "BudgetError",
-    "Subinterval",
     "CertifiedResult",
     "integrate_certified",
     "true_error",
@@ -41,35 +40,19 @@ MODES = ("hypothesis", "sup")
 SUP_SAMPLES = 33
 SUP_SAFETY = 1.1
 DEFAULT_BUDGET = 1 << 20
+# The partition's columns, as CertifiedResult holds them and its JSON names them.
+PARTITION_COLUMNS = ("left", "right", "local_value", "local_bound")
 
 
 class BudgetError(RuntimeError):
     """Adaptive refinement hit the subinterval budget before the target."""
 
 
-@dataclass(frozen=True)
-class Subinterval:
-    """One piece of the partition, in path order (left may exceed right
-    when the displacement is negative)."""
-
-    left: float
-    right: float
-    local_value: float
-    local_bound: float
-
-    def to_json(self) -> dict:
-        return {
-            "left": self.left,
-            "right": self.right,
-            "local_value": self.local_value,
-            "local_bound": self.local_bound,
-        }
-
-
 @dataclass(frozen=True, eq=False)
 class CertifiedResult:
     """Composite value plus the certificate that bounds its error; the
-    partition is held as four read-only arrays in path order."""
+    partition is held as four read-only arrays in path order (left may
+    exceed right when the displacement is negative)."""
 
     value: float
     certificate: float
@@ -84,18 +67,14 @@ class CertifiedResult:
     def n(self) -> int:
         return len(self.left)
 
-    @property
-    def partition(self) -> tuple[Subinterval, ...]:
-        columns = (self.left, self.right, self.local_value, self.local_bound)
-        return tuple(map(Subinterval, *(c.tolist() for c in columns)))
-
     def to_json(self) -> dict:
+        columns = (getattr(self, name).tolist() for name in PARTITION_COLUMNS)
         return {
             "value": self.value,
             "certificate": self.certificate,
             "mode": self.mode,
             "n": self.n,
-            "partition": [s.to_json() for s in self.partition],
+            "partition": [dict(zip(PARTITION_COLUMNS, piece)) for piece in zip(*columns)],
         }
 
 

@@ -262,6 +262,22 @@ def test_integrate_non_finite_is_usage_error(capsys):
         _emit({"value": float("nan")}, None, "json")
 
 
+# f''' = x^3 - x^2 vanishes at both ends, so every bound is 0 and each
+# ratio_winner is inf.
+ZERO_BOUNDS = ("tournament", "--f", "pow(x,6)/120 - pow(x,5)/60", "--a", "1", "--b", "0")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_non_finite_report_is_refused_by_name(tmp_path, capsys, fmt):
+    out = tmp_path / "report"
+    code, stdout, err = invoke(capsys, *ZERO_BOUNDS, "--format", fmt, "--out", str(out))
+    assert code == 2
+    assert stdout == ""
+    assert err == ("etaquad tournament: result.rows.0.ratio_winner is inf; "
+                   "a report holds finite numbers only\n")
+    assert not out.exists()
+
+
 def test_integrate_oracle_failure_is_reported(capsys):
     code, out, err = invoke(
         capsys, "integrate", "--f", "1/(x-0.3)", "--a", "1", "--b", "0",
@@ -324,6 +340,14 @@ def test_suite_csv_format(tmp_path, capsys):
     assert lines[0] == ",".join(CSV_COLUMNS)
     assert len(lines) == 1 + 5 * 6
     assert lines[1].split(",")[1] == "exp"
+
+
+def test_suite_json_rows_follow_csv_columns(capsys):
+    _, report, _ = invoke_json(capsys, "suite", "--family", "mixed", "--trials", "6", "--seed", "3",
+                               "--theorems", "T2.1,C2.1")
+    rows = report["result"]["rows"]
+    assert len(rows) == 12
+    assert all(tuple(row) == CSV_COLUMNS for row in rows)
 
 
 def test_suite_unknown_family(capsys):

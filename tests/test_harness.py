@@ -10,6 +10,7 @@ from etaquad import (
     ConvergenceError,
     DifferenceMap,
     FAMILIES,
+    Family,
     Instance,
     THEOREM_ORDER,
     check_hh_classical,
@@ -19,8 +20,6 @@ from etaquad import (
     tournament,
 )
 from etaquad.harness import (
-    CSV_COLUMNS,
-    TrialRow,
     _clamp_h,
     _evaluate,
     _pick,
@@ -93,11 +92,6 @@ def test_built_source_writes_each_value_in_parentheses():
     assert f.source == "(1.0) + (-2.0)*x + (3.0)*pow(x,2)"
 
 
-def test_trial_row_json_matches_csv_columns():
-    row = TrialRow(0, "exp", 1.0, 0.0, 1.0, "T2.1", 2.0, 0.1, 0.2, 0.5, True)
-    assert tuple(row.to_json()) == CSV_COLUMNS
-
-
 def test_instance_segment_and_summary():
     inst = Instance(parse("pow(x,3)"), DifferenceMap(), a=2.0, b=0.5, spec=SIX[0])
     seg = inst.segment()
@@ -120,7 +114,7 @@ def test_poly2_suite_all_zero():
     assert rep.violations == 0
     assert rep.max_ratio == 0.0
     assert rep.argmax is None
-    assert all(r.ratio == 0.0 and r.bound == 0.0 for r in rep.rows)
+    assert all(r["ratio"] == 0.0 and r["bound"] == 0.0 for r in rep.rows)
 
 
 def test_exp_suite_gates_always_pass():
@@ -157,11 +151,36 @@ def test_suite_determinism_and_prefix():
                 parse(fam.template, fam.names), fam.bind(batch), *_segments(batch), SIX, 65
             )
             rows = big.rows[trial * len(SIX) : (trial + 1) * len(SIX)]
-            assert {r.family for r in rows} == {fam.name}
+            assert {r["family"] for r in rows} == {fam.name}
             for row, (bnd, ratio, ok) in zip(rows, results):
-                assert repr((row.lhs, row.bound, row.ratio, row.hypothesis_pass)) == repr(
+                assert repr(tuple(row[k] for k in ("lhs", "bound", "ratio", "hypothesis_pass"))) == repr(
                     (float(lhs[0]), float(bnd[0]), float(ratio[0]), bool(ok[0]))
                 )
+
+
+# A degree-13 polynomial whose |f'''|^2 is preinvex along [0, 1] while
+# |f'''| is not; C2.1's value h^4/384*(A+B) undercuts its remainder.
+C21_WITNESS = (
+    "(-0.0)*pow(x,3) + (-0.0533519057144714)*pow(x,4) + (-1.4499612636956232)*pow(x,5)"
+    " + (10.285072509404891)*pow(x,6) + (-35.91164523993245)*pow(x,7)"
+    " + (73.10260158265228)*pow(x,8) + (-90.1780428486523)*pow(x,9)"
+    " + (67.21709460482309)*pow(x,10) + (-28.597956330003008)*pow(x,11)"
+    " + (5.866501927210863)*pow(x,12) + (-0.31721416545588094)*pow(x,13)"
+)
+
+
+def test_c21_is_gated_on_the_q1_hypothesis_at_every_q():
+    # One draw: c = 1 on b = 0, h = 1.
+    fam = Family("witness", f"c*({C21_WITNESS})", ("c",), (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
+    specs = [BoundSpec("C2.1", 2.0), BoundSpec("C2.1", 1.0), BoundSpec("T2.1", 2.0)]
+    rep = run_inequality_suite(fam, specs, trials=1, seed=0).to_json()
+    c21_q2, c21_q1, t21 = rep["rows"]
+    assert (c21_q2["a"], c21_q2["b"], c21_q2["h"]) == (1.0, 0.0, 1.0)
+    assert c21_q2["ratio"] == pytest.approx(1.2456, abs=1e-4)
+    assert not c21_q2["hypothesis_pass"] and not c21_q1["hypothesis_pass"]
+    assert t21["hypothesis_pass"] and t21["ratio"] == pytest.approx(0.881, abs=1e-3)
+    assert rep["violations"] == 0
+    assert (rep["argmax"]["theorem"], rep["argmax"]["q"]) == ("T2.1", 2.0)
 
 
 def test_per_spec_table_consistent():
@@ -192,7 +211,7 @@ def test_repeated_spec_object_keeps_its_own_table_entry():
 
 def test_mixed_family_draws_from_pool():
     rep = run_inequality_suite("mixed", SIX[:1], trials=30, seed=2)
-    names = {r.family for r in rep.rows}
+    names = {r["family"] for r in rep.rows}
     assert names <= {"poly6", "exp", "trig"}
     assert len(names) > 1
 
@@ -207,8 +226,8 @@ def test_ratios_never_violate_on_passing_gates():
         rep = run_inequality_suite(fam, SIX, trials=50, seed=seed)
         assert rep.violations == 0
         for row in rep.rows:
-            if row.hypothesis_pass:
-                assert row.ratio <= 1.0 + 1e-9
+            if row["hypothesis_pass"]:
+                assert row["ratio"] <= 1.0 + 1e-9
 
 
 # --- tournament ------------------------------------------------------------

@@ -57,15 +57,13 @@ def test_partition_tiles_the_segment(policy):
     f = parse("exp(x)")
     seg = PathSegment(0.5, -1.25)
     res = integrate_certified(f, seg, **policy)
-    parts = res.partition
-    assert len(parts) == res.n == policy.get("fixed_n", res.n)
-    assert not res.local_bound.flags.writeable
-    assert parts[0].left == seg.b
-    assert parts[-1].right == pytest.approx(seg.end, abs=1e-15)
-    for prev, cur in zip(parts, parts[1:]):
-        assert cur.left == prev.right
-    assert res.value == pytest.approx(math.fsum(p.local_value for p in parts), rel=1e-15)
-    assert res.certificate == pytest.approx(math.fsum(p.local_bound for p in parts), rel=1e-15)
+    assert len(res.left) == res.n == policy.get("fixed_n", res.n)
+    assert not any(c.flags.writeable for c in (res.left, res.right, res.local_value, res.local_bound))
+    assert res.left[0] == seg.b
+    assert res.right[-1] == pytest.approx(seg.end, abs=1e-15)
+    assert (res.left[1:] == res.right[:-1]).all()
+    assert res.value == pytest.approx(math.fsum(res.local_value), rel=1e-15)
+    assert res.certificate == pytest.approx(math.fsum(res.local_bound), rel=1e-15)
 
 
 def test_certificate_fourth_order_decay():
@@ -89,9 +87,7 @@ def test_adaptive_meets_target_and_is_deterministic():
     assert r1.certificate <= 1e-6
     assert r1.value == r2.value
     assert r1.n == r2.n
-    assert [(p.left, p.right) for p in r1.partition] == [
-        (p.left, p.right) for p in r2.partition
-    ]
+    assert (r1.left == r2.left).all() and (r1.right == r2.right).all()
     exact, _ = integrate(lambda x: np.exp(2 * x) * np.sin(3 * x), 0.0, 1.5, tol=1e-13)
     assert abs(r1.value - exact) <= r1.certificate * (1.0 + 1e-9)
 
@@ -167,7 +163,9 @@ def test_result_serialization():
     assert list(out) == ["value", "certificate", "mode", "n", "partition"]
     assert out["n"] == 2
     assert len(out["partition"]) == 2
-    assert list(out["partition"][0]) == ["left", "right", "local_value", "local_bound"]
+    assert list(out["partition"][1].items()) == [
+        ("left", 0.5), ("right", 1.0), ("local_value", res.local_value[1]),
+        ("local_bound", res.local_bound[1])]
     assert isinstance(res, CertifiedResult)
 
 
