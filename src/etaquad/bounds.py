@@ -7,8 +7,8 @@ h^4.  The T2.x family assumes |f'''|^q is preinvex along the path and uses
 a power mean of (A, B); the T3.x family assumes prequasiinvexity and uses
 max(A, B).  The C2.x values are the straight-line corollaries.
 
-``bound`` takes h, A and B as floats or as arrays with one entry per
-segment; an array entry gets the bits a float would.
+``bound`` computes on arrays with one entry per segment; floats run as a
+one-entry array, so a segment has the same bits alone as in any batch.
 
 Every prefactor decomposes into moments of the weight w(t) = t(1-t)(2t-1)
 that are also exposed individually, so each closed form can be cross-
@@ -104,20 +104,19 @@ class BoundSpec:
 @dataclass(frozen=True)
 class DerivativeData:
     """Endpoint third-derivative magnitudes A = |f'''(a)|, B = |f'''(b)|,
-    as floats or as arrays with one entry per segment."""
+    arrays with one entry per segment, or floats for one segment."""
 
     a3: float
     b3: float
 
     def __post_init__(self):
-        if not (_all(np.isfinite(self.a3)) and _all(np.isfinite(self.b3))):
-            raise ValueError("derivative magnitudes must be finite")
-        if not (_all(self.a3 >= 0.0) and _all(self.b3 >= 0.0)):
-            raise ValueError("derivative magnitudes must be nonnegative")
+        ends = np.array(np.broadcast_arrays(self.a3, self.b3), dtype=float)
+        if not (np.isfinite(ends) & (ends >= 0.0)).all():
+            raise ValueError("derivative magnitudes must be finite and nonnegative")
 
     @classmethod
     def from_function(cls, f, a: float, b: float) -> "DerivativeData":
-        return cls(abs(f.jet3(a).d3), abs(f.jet3(b).d3))
+        return cls(*np.abs(f.jet3(np.array([a, b], dtype=float)).d3).tolist())
 
 
 @dataclass(frozen=True)
@@ -181,50 +180,36 @@ def gamma_ratio(p: float) -> float:
     return math.exp(math.lgamma(1.0 + p) - math.lgamma(1.5 + p))
 
 
-def _all(flags) -> bool:
-    """Whether a flag, or every flag of an array, is set; a float's flag
-    skips numpy's reduction, which costs more than the test."""
-    return bool(flags.all() if isinstance(flags, np.ndarray) else flags)
-
-
-def _maximum(a, b):
-    return np.maximum(a, b) if isinstance(a, np.ndarray) else max(a, b)
-
-
-def scalar_pow(base, exponent):
-    """base ** exponent as Python computes it for a float, element by
-    element for an array: numpy's vectorised power can differ from the C
-    library's pow in the last place, and a batch must give the bits of one
-    call per segment."""
-    if isinstance(base, np.ndarray):
-        return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
-    return base ** exponent
+def scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
+    """base ** exponent element by element with Python's pow, the C
+    library's: numpy's vectorised power can differ from it in the last
+    place, and a batch must give each segment the bits of a batch of one."""
+    return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
 
 
 def _power_mean(a, b, q: float):
     mean = scalar_pow((scalar_pow(a, q) + scalar_pow(b, q)) / 2.0, 1.0 / q)
     # Exact at a == b: skip the pow round trip so symmetric data gives
     # bit-identical T2.1 and T3.1 values.
-    if isinstance(mean, np.ndarray):
-        return np.where(a == b, a, mean)
-    return a if a == b else mean
+    return np.where(a == b, a, mean)
 
 
 def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundValue:
     """Evaluate the selected bound for displacement ``h`` and data ``d``.
 
-    ``h``, ``d.a3`` and ``d.b3`` broadcast; the value is a float when all
-    three are floats.  ``tight`` applies only to T3.3: the printed constant
-    h^4/48*(...) can be sharpened by 2^(-1/p) by splitting the weight
-    integral at t = 1/2; the default reproduces the printed form.
+    ``h``, ``d.a3`` and ``d.b3`` broadcast as arrays; the value is a float
+    when all three are floats.  ``tight`` applies only to T3.3: the printed
+    constant h^4/48*(...) can be sharpened by 2^(-1/p) by splitting the
+    weight integral at t = 1/2; the default reproduces the printed form.
     """
-    if not _all(np.isfinite(h)):
+    floats = not any(isinstance(v, np.ndarray) for v in (h, d.a3, d.b3))
+    h, A, B = (np.atleast_1d(np.asarray(v, dtype=float)) for v in (h, d.a3, d.b3))
+    if not np.isfinite(h).all():
         raise ValueError("displacement h must be finite")
     if tight and spec.theorem != "T3.3":
         raise ValueError("tight variant exists only for T3.3")
 
     h4 = scalar_pow(h, 4)
-    A, B = d.a3, d.b3
     q = spec.q
     thm = spec.theorem
 
@@ -243,7 +228,7 @@ def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundVa
         value = h4 / 384.0 * (A + B)
         constants = {"weighted_kernel_moments": moment_c2(), "prefactor": 1.0 / 384.0}
     elif thm in ("T3.1", "C2.3", "C2.4"):
-        value = h4 / 192.0 * _maximum(A, B)
+        value = h4 / 192.0 * np.maximum(A, B)
         constants = {"kernel_moment": moment_c1(), "prefactor": 1.0 / 192.0}
     elif thm in ("T2.2", "T3.2"):
         p = spec.p
@@ -252,7 +237,7 @@ def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundVa
             ends = scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
         else:
             prefactor = 1.0 / (24.0 * 3.0 ** (1.0 / q))
-            ends = _maximum(A, B)
+            ends = np.maximum(A, B)
         value = h4 * prefactor * ((p + 1.0) * (p + 3.0)) ** (-1.0 / p) * ends
         constants = {"holder_weighted_moment": holder_weighted_moment(p), "prefactor": prefactor}
     elif thm == "T2.3":
@@ -281,7 +266,7 @@ def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundVa
             * math.sqrt(math.pi) ** (1.0 / p)
             * gr ** (1.0 / p)
             * (q + 1.0) ** (-1.0 / q)
-            * _maximum(A, B)
+            * np.maximum(A, B)
         )
         constants = {
             "beta_moment": beta_moment(p),
@@ -292,4 +277,4 @@ def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundVa
         }
         if tight:
             value *= 2.0 ** (-1.0 / p)
-    return BoundValue(value if isinstance(value, np.ndarray) else float(value), spec, constants)
+    return BoundValue(float(value[0]) if floats else value, spec, constants)

@@ -152,6 +152,14 @@ def _flatten(obj, prefix=""):
         yield prefix.rstrip("."), obj
 
 
+def tolerance(text: str) -> float:
+    """A finite nonnegative number; argparse names this function in a refusal."""
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise ValueError(text)
+    return value
+
+
 def _flag_text(value) -> str:
     return value if isinstance(value, str) else json.dumps(value)
 
@@ -229,10 +237,7 @@ def _cmd_bound(cfg):
     seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
     data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
     result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
-    result["h"] = seg.h
-    result["eta_ba"] = float(emap(cfg["b"], cfg["a"]))
-    result["a3"] = data.a3
-    result["b3"] = data.b3
+    result.update(h=seg.h, eta_ba=float(emap(cfg["b"], cfg["a"])), a3=data.a3, b3=data.b3)
     return 0, result, True, None
 
 
@@ -333,7 +338,7 @@ OPTIONS = {
     "seed": ("--seed", {"type": int, "help": "campaign seed"}),
     "q-grid": ("--q-grid", {"help": "comma list of q values"}),
     "grid": ("--grid", {"type": int, "help": "grid points; hh-classical: oracle refinement"}),
-    "tol": ("--tol", {"type": float, "help": "comparison tolerance"}),
+    "tol": ("--tol", {"type": tolerance, "help": "comparison tolerance"}),
     "config": ("--config", {"help": "JSON config file; flags override its values"}),
     "out": ("--out", {"help": "write the report here instead of stdout"}),
     "format": ("--format", {"choices": ("json", "csv"), "help": "report format"}),

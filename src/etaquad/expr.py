@@ -27,7 +27,7 @@ once.
 Evaluation is numpy-vectorised: passing an ndarray evaluates elementwise
 and returns read-only arrays of the input shape, computed in slices of
 EVAL_CHUNK points bit for bit as one run would, so callers never slice.
-Scalar inputs return plain floats.
+A number x runs as a one-point array and returns floats with its bits.
 Jets propagate the value and first three derivatives through every
 operation, so no finite differencing is involved anywhere.
 """
@@ -239,9 +239,9 @@ def _cos(u0, c):
 
 
 def _pow(u0, r):
-    """Fractional power with the constant exponent r.  A scalar base is a
-    numpy float: the C library's pow either way, but inf where a Python
-    float would raise OverflowError."""
+    """Fractional power with the constant exponent r.  A constant base is
+    cast to a numpy float, whose pow gives inf where a float's raises
+    OverflowError: pow(x, pow(10, 400.5)) is refused as a non-finite exponent."""
     u0 = np.float64(u0) if np.ndim(u0) == 0 else u0
     yield u0 ** r
     yield r * u0 ** (r - 1.0)
@@ -449,14 +449,12 @@ def _readonly(out, shape):
 
 
 def _evaluate(tape, x, jet: bool, args) -> list:
-    """_run's components as floats when none of x and ``args`` is an
-    ndarray, else as read-only arrays of their broadcast shape, run on
-    flat slices of EVAL_CHUNK points when that shape holds more."""
-    # An int x would run the tape in integer arithmetic: OverflowError, not inf.
-    x = x if isinstance(x, np.ndarray) else float(x)
+    """_run's components as read-only arrays of the broadcast shape of x
+    and ``args``, run on flat slices of EVAL_CHUNK points when it holds
+    more; as floats from a one-point run when none of them is an ndarray."""
     shapes = [v.shape for v in (x, *args) if isinstance(v, np.ndarray)]
     if not shapes:
-        return [float(c) for c in _run(tape, x, jet, args)]
+        return [float(c[0]) for c in _evaluate(tape, np.array([x], dtype=float), jet, args)]
     shape = shapes[0] if len(shapes) == 1 else np.broadcast_shapes(*shapes)
     if (size := math.prod(shape)) <= EVAL_CHUNK:
         return [_readonly(c, shape) for c in _run(tape, x, jet, args)]

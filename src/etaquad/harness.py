@@ -184,8 +184,8 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
     """The remainders over [b, b + h] and, per spec, the arrays (bound,
     ratio, gate passed) for a batch of segments.
 
-    ``a``, ``b`` and ``h`` are floats for one segment or arrays with one
-    entry per segment, and f's parameters bind to ``params``, arrays with
+    ``a``, ``b`` and ``h`` are arrays with one entry per segment (floats
+    are a batch of one), and f's parameters bind to ``params``, arrays with
     one entry per segment.  A = |f'''(a)| and B = |f'''(b)| come from the
     path grid's jet run.  The gate is the sampled hypothesis along the
     path, in the power form the bound assumes (``hypothesis_q``): chord
@@ -415,9 +415,7 @@ def check_hh_classical(f, a: float, b: float, grid_n: int = 65, tol: float = 1e-
     if not a < b:
         raise ValueError("needs a < b")
     fn = f.value if hasattr(f, "value") else f
-    fa = float(fn(a))
-    fb = float(fn(b))
-    mid = float(fn(0.5 * (a + b)))
+    fa, mid, fb = map(float, fn(np.array([a, 0.5 * (a + b), b])))
     min_depth = max(2, int(math.ceil(math.log2(max(2, grid_n - 1)))))
     oracle_tol = 1e-12 * max(1.0, abs(fa) + abs(fb)) * (b - a)
     integral, _ = simpson.integrate(fn, a, b, tol=oracle_tol, min_depth=min_depth)

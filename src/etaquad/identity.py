@@ -83,11 +83,11 @@ class IdentityReport:
 
 @np.errstate(all="ignore")  # arrays overflow to inf and nan silently, as floats do
 def corrected_trapezoid(f, seg: PathSegment, **params) -> float:
-    """Q over the segment, from endpoint values and first derivatives;
-    ``params`` binds the parameters of f (see ``Expression.value``)."""
-    jb = f.jet3(seg.b, **params)
-    je = f.jet3(seg.end, **params)
-    return seg.h * (jb.d0 + je.d0) / 2.0 + seg.h * seg.h / 12.0 * (jb.d1 - je.d1)
+    """Q over the segment from one jet run at b and b + h, a float when they
+    are; ``params`` binds the parameters of f (see ``Expression.value``)."""
+    j = f.jet3(np.array([seg.b, seg.end]), **params)
+    q = seg.h * (j.d0[0] + j.d0[1]) / 2.0 + seg.h * seg.h / 12.0 * (j.d1[0] - j.d1[1])
+    return q if np.ndim(q) else float(q)
 
 
 def _weighted_third(f, seg: PathSegment):

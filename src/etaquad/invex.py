@@ -161,8 +161,6 @@ class TableMap(EtaMap):
             raise EtaMapError(
                 f"(u, v) = ({u_arr[tuple(bad)]}, {v_arr[tuple(bad)]}) is outside every piece"
             )
-        if out.ndim == 0 and not isinstance(u, np.ndarray) and not isinstance(v, np.ndarray):
-            return float(out)
         return out
 
     def to_json(self) -> dict:

@@ -396,6 +396,29 @@ def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, na
     assert names in err
 
 
+TOL_COMMANDS = {
+    "verify-identity": ("--f", "exp(x)", "--a", "1", "--b", "0"),
+    "check-hypothesis": ("--check", "preinvex", "--f", "x*x", "--dom", "0", "1"),
+    "hh-classical": ("--f", "x*x", "--a", "0", "--b", "1"),
+}
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("command", TOL_COMMANDS)
+def test_bad_tol_is_refused_before_any_work(tmp_path, capsys, monkeypatch, command, tol):
+    monkeypatch.setattr("etaquad.cli.parse", None)  # a handler that ran would call it
+    argv = [command, *TOL_COMMANDS[command]]
+    with pytest.raises(SystemExit) as exc:
+        run(argv + [f"--tol={tol}"])
+    assert exc.value.code == 2
+    assert f"argument --tol: invalid tolerance value: '{tol}'" in capsys.readouterr().err
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({"tol": float(tol)}))
+    code, out, err = invoke(capsys, *argv, "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"etaquad {command}: bad value for config key 'tol': {float(tol)!r}\n"
+
+
 def test_config_values_convert_like_flags(tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_text(json.dumps({
@@ -450,6 +473,15 @@ def test_tournament_empty_grid(capsys):
         capsys, "tournament", "--f", "x", "--a", "1", "--b", "0", "--q-grid", ","
     )
     assert code == 2
+
+
+def test_bound_equals_tournament_to_the_bit(capsys):
+    # One point runs as a batch of one, so a fractional pow of x gives
+    # `bound` the bits `tournament` reads from its batch.
+    segment = ("--f", "pow(x,3.7)", "--a", "1.1", "--b", "0.15")
+    _, single, _ = invoke_json(capsys, "bound", *segment, "--theorem", "T3.1", "--q", "1")
+    _, table, _ = invoke_json(capsys, "tournament", *segment, "--q-grid", "1")
+    assert single["result"]["value"] == table["result"]["rows"][0]["bounds"]["T3.1"]
 
 
 # --- hh-classical -------------------------------------------------------------

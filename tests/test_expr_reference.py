@@ -139,18 +139,28 @@ def test_random_expression_jets_match_mpmath(expr, x):
     suppress_health_check=[hypothesis.HealthCheck.too_slow],
 )
 @hypothesis.given(expressions, st.floats(-2.0, 2.0, allow_nan=False))
+@hypothesis.example(("pow(x*x + 1, 2.5)", ()), -1.999)
 def test_values_are_the_jets_d0_bit_for_bit(expr, x):
     # One tape loop and one primitive per operation serve both lanes, so
-    # wherever a jet evaluates, the value is its d0 to the last bit.
+    # wherever a jet evaluates, the value is its d0 to the last bit; and a
+    # float point runs as a one-point array, so its value and jet are entry
+    # 0 of an array run to the last bit.
     f = parse(expr[0])
-    for point in (x, x + np.linspace(0.0, 0.5, 5)):
+    points = x + np.linspace(0.0, 0.5, 5)
+    points[0] = x  # x + 0.0 would turn -0.0 into 0.0
+    runs = []
+    for point in (x, points):
         try:
-            d0 = f.jet3(point).d0
+            jet = f.jet3(point)
         except DomainError:
             continue
         value = f.value(point)
-        assert type(value) is type(d0)
-        assert np.asarray(value).tobytes() == np.asarray(d0).tobytes(), (expr[0], point)
+        assert type(value) is type(jet.d0)
+        assert np.asarray(value).tobytes() == np.asarray(jet.d0).tobytes(), (expr[0], point)
+        runs.append([np.asarray(c).reshape(-1)[:1].tobytes()
+                     for c in (value, jet.d0, jet.d1, jet.d2, jet.d3)])
+    if len(runs) == 2:
+        assert runs[0] == runs[1], (expr[0], x)
 
 
 @hypothesis.settings(
