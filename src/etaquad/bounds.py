@@ -96,10 +96,6 @@ class BoundSpec:
     def to_json(self) -> dict:
         return {"theorem": self.theorem, "q": self.q}
 
-    @classmethod
-    def from_json(cls, obj: dict) -> "BoundSpec":
-        return cls(str(obj["theorem"]), float(obj.get("q", 1.0)))
-
 
 @dataclass(frozen=True)
 class DerivativeData:

@@ -11,9 +11,9 @@ Each option is declared once, in ``OPTIONS``, and each command once, in
 ``COMMANDS``.  A key's value is its flag if given, else its value in the
 ``--config`` file, else its default.
 
-Exit codes: 0 pass/success, 1 detected violation or failed check, 2
-usage or configuration error, or a report holding a NaN or inf (no report
-is written then).
+Exit codes: 0 when the report's ``passed`` is true, 1 when it is false
+(a detected violation or failed check), 2 on a usage or configuration
+error, or a report holding a NaN or inf (no report is written then).
 """
 
 from __future__ import annotations
@@ -38,16 +38,8 @@ from .harness import (
     tournament,
 )
 from .identity import PathSegment, verify_identity
-from .invex import (
-    DifferenceMap,
-    Domain,
-    PiecewiseSignMap,
-    ScaledMap,
-    check_invex_set,
-    check_preinvex,
-    check_prequasiinvex,
-    eta_from_json,
-)
+from .invex import ETA_SPELLINGS, Domain, eta_from_json
+from .invex import check_invex_set, check_preinvex, check_prequasiinvex
 from .quadrature import BudgetError, integrate_certified, true_error
 from .simpson import ConvergenceError
 
@@ -64,27 +56,19 @@ class UsageError(ValueError):
 
 def _eta_obj(cfg: dict):
     """The direction map cfg["eta"] names; the report keeps its JSON form."""
-    text = cfg["eta"]
-    if text == "difference":
-        emap = DifferenceMap()
-    elif text == "paper_piecewise":
-        emap = PiecewiseSignMap()
-    elif text.startswith("scaled:"):
-        try:
-            emap = ScaledMap(float(text.split(":", 1)[1]))
-        except ValueError as exc:
-            raise UsageError(f"bad scaled map: {exc}")
-    elif text.lstrip().startswith("{"):
-        try:
-            emap = eta_from_json(json.loads(text))
-        except (json.JSONDecodeError, KeyError, ValueError) as exc:
-            raise UsageError(f"bad eta JSON: {exc}")
-    else:
-        raise UsageError(
-            f"unknown eta {text!r}: use difference | paper_piecewise | scaled:<lam> | a JSON object"
-        )
+    try:
+        emap = eta_from_json(cfg["eta"])
+    except ValueError as exc:
+        raise UsageError(f"bad eta: {exc}")
     cfg["eta"] = emap.to_json()
     return emap
+
+
+def _segment(cfg: dict):
+    """The expression, the direction map and the path segment cfg names."""
+    emap = _eta_obj(cfg)
+    f = parse(cfg["function"])
+    return f, emap, PathSegment.from_eta(emap, cfg["a"], cfg["b"])
 
 
 # One line of JSON from the C encoder; NaN and inf raise ValueError.
@@ -216,29 +200,25 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (cfg) -> (exit_code, result, passed, csv_rows).
+# Subcommand handlers: (cfg) -> (result, passed, csv_rows).
 
 
 def _cmd_verify_identity(cfg):
-    emap = _eta_obj(cfg)
-    f = parse(cfg["function"])
-    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
+    f, emap, seg = _segment(cfg)
     rep = verify_identity(f, seg, tol=cfg["tol"])
     result = rep.to_json()
     result["eta_ab"] = seg.h
     result["eta_ba"] = float(emap(cfg["b"], cfg["a"]))
-    return (0 if rep.passed else 1), result, rep.passed, None
+    return result, rep.passed, None
 
 
 def _cmd_bound(cfg):
-    emap = _eta_obj(cfg)
-    f = parse(cfg["function"])
+    f, emap, seg = _segment(cfg)
     spec = BoundSpec(cfg["theorem"], cfg["q"])
-    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
     data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
     result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
     result.update(h=seg.h, eta_ba=float(emap(cfg["b"], cfg["a"])), a3=data.a3, b3=data.b3)
-    return 0, result, True, None
+    return result, True, None
 
 
 def _cmd_check_hypothesis(cfg):
@@ -254,15 +234,13 @@ def _cmd_check_hypothesis(cfg):
         f = parse(cfg["function"])
         check = check_preinvex if cfg["check"] == "preinvex" else check_prequasiinvex
         rep = check(f, emap, dom, grid_n=cfg["grid"], tol=cfg["tol"])
-    return (0 if rep.passed else 1), rep.to_json(), rep.passed, None
+    return rep.to_json(), rep.passed, None
 
 
 def _cmd_integrate(cfg):
-    emap = _eta_obj(cfg)
-    f = parse(cfg["function"])
+    f, _, seg = _segment(cfg)
     if cfg["target"] is None and cfg["fixed-n"] is None:
         cfg["fixed-n"] = 64
-    seg = PathSegment.from_eta(emap, cfg["a"], cfg["b"])
     try:
         result_obj = integrate_certified(
             f, seg, mode=cfg["mode"], target=cfg["target"], fixed_n=cfg["fixed-n"]
@@ -272,8 +250,8 @@ def _cmd_integrate(cfg):
             result["true_error"] = true_error(f, result_obj, tol=DEFAULT_TOLERANCES["oracle"])
     except (BudgetError, ConvergenceError) as exc:
         print(f"etaquad integrate: {exc}", file=sys.stderr)
-        return 1, {"error": str(exc)}, False, None
-    return 0, result, True, None
+        return {"error": str(exc)}, False, None
+    return result, True, None
 
 
 def _cmd_suite(cfg):
@@ -281,9 +259,8 @@ def _cmd_suite(cfg):
     report = run_inequality_suite(
         cfg["family"], specs, trials=cfg["trials"], seed=cfg["seed"], grid_n=cfg["grid"]
     )
-    passed = report.violations == 0
     result = report.to_json()
-    return (0 if passed else 1), result, passed, result["rows"]
+    return result, report.violations == 0, result["rows"]
 
 
 def _cmd_tournament(cfg):
@@ -296,13 +273,13 @@ def _cmd_tournament(cfg):
     if not q_grid:
         raise UsageError("q grid is empty")
     rows = tournament(Instance(f, emap, cfg["a"], cfg["b"]), q_grid, grid_n=cfg["grid"])
-    return 0, {"rows": rows}, True, None
+    return {"rows": rows}, True, None
 
 
 def _cmd_hh_classical(cfg):
     f = parse(cfg["function"])
     rep = check_hh_classical(f, cfg["a"], cfg["b"], grid_n=cfg["grid"], tol=cfg["tol"])
-    return (0 if rep.passed else 1), rep.to_json(), rep.passed, None
+    return rep.to_json(), rep.passed, None
 
 
 # ---------------------------------------------------------------------------
@@ -318,7 +295,7 @@ OPTIONS = {
     "function": ("--f", {"help": "expression in x (or t)"}),
     "a": ("--a", {"type": float, "help": "endpoint a; paths run from b by eta(a, b)"}),
     "b": ("--b", {"type": float, "help": "endpoint b, the base point of the path"}),
-    "eta": ("--eta", {"help": "difference | paper_piecewise | scaled:<lam> | JSON object"}),
+    "eta": ("--eta", {"help": ETA_SPELLINGS}),
     "dom": ("--dom", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
                       "help": "domain interval"}),
     "sample": ("--sample", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
@@ -414,7 +391,7 @@ def run(argv: list[str]) -> int:
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)
-        code, result, passed, csv_rows = handler(cfg)
+        result, passed, csv_rows = handler(cfg)
         cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
         report = {"command": args.command, "version": __version__, "config": cfg,
                   "result": result, "passed": passed}
@@ -423,7 +400,7 @@ def run(argv: list[str]) -> int:
         what = "bad expression: " if isinstance(exc, ParseError) else ""
         print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)
         return 2
-    return code
+    return 0 if passed else 1
 
 
 def main() -> None:

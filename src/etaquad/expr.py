@@ -475,19 +475,14 @@ class Expression:
     ``value`` and ``jet3`` take each parameter as a keyword argument: a
     number, or an array that broadcasts against x (one entry per draw,
     say, with x holding each draw's points along the last axis).
-
-    ``has_abs`` flags the presence of abs, the one admitted non-smooth
-    primitive: values are defined everywhere, but jets raise DomainError
-    within KINK_TOL of a kink.
     """
 
-    __slots__ = ("source", "tape", "params", "has_abs")
+    __slots__ = ("source", "tape", "params")
 
     def __init__(self, tape: tuple, source: str, params: tuple = ()):
         self.tape = tape
         self.source = source
         self.params = params
-        self.has_abs = any(op == "abs" for op, _ in tape)
 
     def _args(self, bound: dict) -> tuple:
         if len(bound) != len(self.params) or not all(k in bound for k in self.params):

@@ -256,6 +256,8 @@ def run_inequality_suite(
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
+    if not specs:
+        raise ValueError("specs must name at least one bound")
     rng = np.random.Generator(np.random.Philox(seed))
     drawn = []  # (family, draw) per trial
     groups: dict[Family, list[int]] = {}
@@ -302,7 +304,7 @@ def tournament(instance: Instance, q_grid: list[float], grid_n: int = 65) -> lis
     earliest variant in THEOREM_ORDER.
     """
     f = instance.f
-    h = float(instance.emap(instance.a, instance.b))
+    h = instance.segment().h
     specs = {}
     for q in q_grid:
         for thm in THEOREM_ORDER:

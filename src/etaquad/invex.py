@@ -16,6 +16,7 @@ this grid", which is exactly what the harness needs for gating.
 
 from __future__ import annotations
 
+import json
 from dataclasses import asdict, dataclass, fields
 from typing import ClassVar
 
@@ -39,6 +40,12 @@ __all__ = [
     "check_preinvex",
     "check_prequasiinvex",
 ]
+
+ETA_SPELLINGS = "difference | paper_piecewise | scaled:<lam> | JSON object"
+# The largest grid a check samples.  The invex checks cost grid_n**3: the
+# preinvex check of -abs(x) under paper_piecewise takes about 6 s at 513
+# points on one Xeon core, and each doubling of the grid costs 8 times more.
+MAX_GRID = 513
 
 
 class EtaMapError(ValueError):
@@ -167,19 +174,32 @@ class TableMap(EtaMap):
         return {"kind": self.kind, "pieces": [p.to_json() for p in self.pieces]}
 
 
-def eta_from_json(obj: dict) -> EtaMap:
-    """Inverse of EtaMap.to_json()."""
-    kind = obj.get("kind")
-    if kind == "difference":
-        return DifferenceMap()
-    if kind == "scaled":
-        return ScaledMap(float(obj["lambda"]))
-    if kind == "paper_piecewise":
-        return PiecewiseSignMap()
-    if kind == "table":
-        names = [f.name for f in fields(TablePiece)]
-        return TableMap(tuple(TablePiece(*(float(p[k]) for k in names)) for p in obj["pieces"]))
-    raise ValueError(f"unknown direction map kind {kind!r}")
+def eta_from_json(spec) -> EtaMap:
+    """The direction map ``spec`` names: an EtaMap.to_json() dict, that
+    dict as JSON text, or a flag spelling (difference, paper_piecewise,
+    scaled:<lam>).  Any other spec is a ValueError that lists these."""
+    try:
+        if isinstance(spec, str) and spec.startswith("scaled:"):
+            spec = {"kind": "scaled", "lambda": spec[len("scaled:"):]}
+        elif isinstance(spec, str):
+            spec = json.loads(spec) if spec.lstrip().startswith("{") else {"kind": spec}
+        kind = spec["kind"]
+        if kind == "scaled":
+            return ScaledMap(float(spec["lambda"]))
+        if kind == "table":
+            rows = [[float(p[f.name]) for f in fields(TablePiece)] for p in spec["pieces"]]
+            return TableMap(tuple(TablePiece(*row) for row in rows))
+        if kind == "difference":
+            return DifferenceMap()
+        if kind == "paper_piecewise":
+            return PiecewiseSignMap()
+        raise ValueError(f"unknown direction map kind {kind!r}")
+    # A missing key, a value of the wrong type, as in the JSON text
+    # {"kind": "scaled", "lambda": null}, or JSON nested too deep to read
+    # is malformed input too.
+    except (ValueError, LookupError, TypeError, OverflowError, RecursionError) as exc:
+        why = f"missing key {exc}" if isinstance(exc, KeyError) else exc
+        raise ValueError(f"{why}; use {ETA_SPELLINGS}") from None
 
 
 @dataclass(frozen=True)
@@ -224,12 +244,9 @@ def path_grid(grid_n: int) -> np.ndarray:
     """grid_n points t on [0, 1]; both path endpoints must be sampled."""
     if grid_n < 2:
         raise ValueError(f"grid_n must be at least 2, got {grid_n}")
+    if grid_n > MAX_GRID:
+        raise ValueError(f"grid_n must be at most {MAX_GRID}, got {grid_n}")
     return np.linspace(0.0, 1.0, grid_n)
-
-
-def _grids(dom: Domain, grid_n: int):
-    t = path_grid(grid_n)
-    return dom.grid(grid_n), t
 
 
 def _directions(emap: EtaMap, u: np.ndarray) -> np.ndarray:
@@ -267,7 +284,7 @@ def check_invex_set(
     is the absolute distance a path point escapes [dom.lo, dom.hi].
     """
     box = sample if sample is not None else dom
-    u, t = _grids(box, grid_n)
+    t, u = path_grid(grid_n), box.grid(grid_n)
     eta = _directions(emap, u)
 
     def slack_row(i):
@@ -299,7 +316,7 @@ def chord_slack(fpath, fu, fv, t, quasi: bool):
 
 
 def _chord_check(f, emap, dom, grid_n, tol, quasi: bool) -> HypothesisReport:
-    u, t = _grids(dom, grid_n)
+    t, u = path_grid(grid_n), dom.grid(grid_n)
     fu = _sample(f, u)
     eta = _directions(emap, u)
 

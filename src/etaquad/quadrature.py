@@ -45,7 +45,7 @@ PARTITION_COLUMNS = ("left", "right", "local_value", "local_bound")
 
 
 class BudgetError(RuntimeError):
-    """Adaptive refinement hit the subinterval budget before the target."""
+    """A partition would exceed the subinterval budget."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,7 +109,6 @@ def integrate_certified(
     mode: str = "hypothesis",
     target: float | None = None,
     fixed_n: int | None = None,
-    budget: int = DEFAULT_BUDGET,
 ) -> CertifiedResult:
     """Integrate f over the segment with a per-subinterval certificate.
 
@@ -117,9 +116,10 @@ def integrate_certified(
     segment uniformly; otherwise ``target`` bisects level by level every
     subinterval of width w whose bound exceeds ``target * |w| / |h|``,
     and the halves reuse their parent's end jets.  BudgetError is raised
-    before a level would hold more than ``budget`` subintervals (accepted
-    plus twice the unaccepted); DomainError on a non-finite local value
-    or bound.  The partition is in path order, from b to b + h.
+    before a level would hold more than DEFAULT_BUDGET subintervals
+    (``fixed_n``, or the accepted plus twice the unaccepted); DomainError
+    on a non-finite local value or bound.  The partition is in path
+    order, from b to b + h.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -129,6 +129,8 @@ def integrate_certified(
         raise ValueError("fixed_n must be positive")
     if target is not None and not (target > 0.0 and math.isfinite(target)):
         raise ValueError("target must be a positive finite bound")
+    if fixed_n is not None and fixed_n > DEFAULT_BUDGET:
+        raise BudgetError(f"fixed_n {fixed_n} is above the budget of {DEFAULT_BUDGET}")
 
     # A uniform partition is one level on which every subinterval is accepted.
     share = math.inf if target is None else target / abs(seg.h)
@@ -145,11 +147,12 @@ def integrate_certified(
         if not n_split:
             break
         accepted = sum(p[0].size for p in parts)
-        if accepted + 2 * n_split > budget:
+        if accepted + 2 * n_split > DEFAULT_BUDGET:
             worst = np.argmax(np.where(split, bounds, -np.inf))
             raise BudgetError(f"target {target:.3e} not reached with {accepted + n_split} "
-                              f"subintervals (budget {budget}); worst [{float(left[worst])!r}, "
-                              f"{float(right[worst])!r}] has bound {bounds[worst]:.3e}")
+                              f"subintervals (budget {DEFAULT_BUDGET}); worst "
+                              f"[{float(left[worst])!r}, {float(right[worst])!r}] "
+                              f"has bound {bounds[worst]:.3e}")
         left, right, jl, jr = left[split], right[split], jl[:, split], jr[:, split]
         mid = 0.5 * (left + right)
         jm = _jets(f, mid)

@@ -119,8 +119,6 @@ def test_spec_validation():
     assert BoundSpec("T2.2", 3.0).p == pytest.approx(1.5)
     with pytest.raises(ValueError):
         BoundSpec("T2.1", 1.0).p
-    spec = BoundSpec("T3.3", 4.0)
-    assert BoundSpec.from_json(spec.to_json()) == spec
 
 
 def test_selectors_cover_the_ten_bounds():

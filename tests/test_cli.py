@@ -121,6 +121,48 @@ def test_usage_errors_exit_2(capsys, argv):
     assert err.startswith("etaquad bound:")
 
 
+MALFORMED_ETA = {
+    "null-lambda": '{"kind": "scaled", "lambda": null}',
+    "int-pieces": '{"kind": "table", "pieces": 5}',
+    "int-piece": '{"kind": "table", "pieces": [5]}',
+    "huge-lambda": '{"kind": "scaled", "lambda": 1' + "0" * 400 + "}",
+    "deep-json": '{"a": ' * 100000,
+    "no-lambda": '{"kind": "scaled"}',
+    "unknown-kind": "spline",
+    "zero-scale": "scaled:0",
+    "bad-json": "{",
+}
+
+
+@pytest.mark.parametrize("eta", MALFORMED_ETA.values(), ids=list(MALFORMED_ETA))
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_malformed_eta_is_one_usage_line_listing_the_spellings(tmp_path, capsys, eta, source):
+    argv = ["bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T2.1"]
+    if source == "flag":
+        argv += ["--eta", eta]
+    else:
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps({"eta": eta}))
+        argv += ["--config", str(path)]
+    code, out, err = invoke(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("etaquad bound: bad eta: ")
+    assert err.endswith("; use difference | paper_piecewise | scaled:<lam> | JSON object\n")
+    assert err.count("\n") == 1
+
+
+def test_fixed_n_above_the_budget_fails_without_work(capsys, monkeypatch):
+    monkeypatch.setattr("etaquad.quadrature._jets", None)  # work would call it
+    code, report, err = invoke_json(
+        capsys, "integrate", "--f", "x", "--a", "1", "--b", "0", "--fixed-n", "2000000"
+    )
+    assert code == 1
+    assert report["passed"] is False
+    assert report["result"] == {"error": "fixed_n 2000000 is above the budget of 1048576"}
+    assert err == "etaquad integrate: fixed_n 2000000 is above the budget of 1048576\n"
+
+
 def test_missing_function_names_the_flag(capsys):
     _, _, err = invoke(capsys, "bound", "--a", "1", "--b", "0", "--theorem", "T2.1")
     assert "--f" in err
@@ -381,6 +423,9 @@ def test_suite_unknown_family(capsys):
         (("integrate", "--f", "x", "--a", "1", "--b", "0"), {"fixed_n": 16}, "'fixed_n'"),
         (("bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T2.1"),
          {"seed": 3}, "'seed'"),
+        (("check-hypothesis", "--check", "preinvex", "--f", "x", "--dom", "0", "1",
+          "--grid", "100000"), None, "got 100000"),
+        (("suite", "--trials", "2", "--theorems", ","), None, "at least one bound"),
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):

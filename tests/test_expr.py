@@ -129,12 +129,6 @@ def test_tape_is_postfix_and_drops_the_pow_exponent():
     assert parse("pow(-x, 0.5*3)").tape == (("var", None), ("neg", None), ("pow", 1.5))
 
 
-def test_has_abs_flag():
-    assert parse("abs(x)").has_abs
-    assert parse("1 + 2*abs(x-1)").has_abs
-    assert not parse("sin(x) + pow(x,3)").has_abs
-
-
 # --- value evaluation ------------------------------------------------------
 
 

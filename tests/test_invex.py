@@ -1,5 +1,6 @@
 """Direction maps, their serialisation, and the sampled hypothesis checks."""
 
+import json
 import math
 
 import numpy as np
@@ -92,6 +93,20 @@ def test_json_round_trip():
     assert PiecewiseSignMap().to_json() == {"kind": "paper_piecewise"}
     with pytest.raises(ValueError):
         eta_from_json({"kind": "nope"})
+
+
+def test_one_reader_for_every_spelling():
+    table = TableMap((TablePiece(0.0, 1.0, 0.0, 1.0, 0.1, 0.2, 0.3),))
+    for m in (DifferenceMap(), ScaledMap(0.5), PiecewiseSignMap(), table):
+        assert eta_from_json(json.dumps(m.to_json())) == m
+    assert eta_from_json("difference") == DifferenceMap()
+    assert eta_from_json("paper_piecewise") == PiecewiseSignMap()
+    assert eta_from_json("scaled:0.5") == ScaledMap(0.5)
+    for bad in ("scaled", "scaled:", "scaled:0", "spline", "{", "{} x", {},
+                {"kind": "scaled", "lambda": None}, {"kind": "scaled", "lambda": 10**400},
+                {"kind": "table", "pieces": 5}, {"kind": "table", "pieces": [{"u_lo": 0.0}]}):
+        with pytest.raises(ValueError, match="; use difference "):
+            eta_from_json(bad)
 
 
 def test_domain_and_path_point():

@@ -16,7 +16,7 @@ from etaquad import (
     parse,
     true_error,
 )
-from etaquad import expr
+from etaquad import expr, quadrature
 
 
 def exact_poly_x4(seg):
@@ -125,11 +125,22 @@ def test_non_finite_local_rule_is_domain_error(policy):
             integrate_certified(f, PathSegment(0.0, 1.0), **policy)
 
 
-def test_budget_exhaustion():
+def test_budget_exhaustion(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 64)
     f = parse("exp(x)")
     seg = PathSegment(0.0, 1.0)
     with pytest.raises(BudgetError):
-        integrate_certified(f, seg, target=1e-30, budget=64)
+        integrate_certified(f, seg, target=1e-30)
+
+
+def test_fixed_n_above_the_budget_is_refused_before_any_work(monkeypatch):
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 64)
+    f = parse("exp(x)")
+    seg = PathSegment(0.0, 1.0)
+    assert integrate_certified(f, seg, fixed_n=64).n == 64
+    monkeypatch.setattr(quadrature, "_jets", None)  # work would call it
+    with pytest.raises(BudgetError, match="fixed_n 65 is above the budget of 64"):
+        integrate_certified(f, seg, fixed_n=65)
 
 
 def test_negative_h_direction():
