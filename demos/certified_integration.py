@@ -35,6 +35,7 @@ print(f"\nadaptive: n={res.n}, certificate={res.certificate:.3e}")
 widths = np.sort(np.abs(res.right - res.left))
 print(f"widths range from {widths[0]:.4f} to {widths[-1]:.4f}")
 
-# sup mode samples |f'''| instead of trusting the chord hypothesis
+# sup mode encloses f''' on each whole subinterval with interval arithmetic
+# instead of trusting the chord hypothesis
 res = integrate_certified(f, seg, fixed_n=64, mode="sup")
 print(f"\nsup-mode certificate at n=64: {res.certificate:.3e}")

@@ -181,7 +181,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
         try:
             with open(args.config, "r", encoding="utf-8") as fh:
                 file_cfg = json.load(fh)
-        except (OSError, json.JSONDecodeError) as exc:
+        except (OSError, json.JSONDecodeError, RecursionError) as exc:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
@@ -300,7 +300,9 @@ OPTIONS = {
                       "help": "domain interval"}),
     "sample": ("--sample", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
                             "help": "endpoint sampling box (invex-set only)"}),
-    "mode": ("--mode", {"choices": ("hypothesis", "sup"), "help": "certificate mode"}),
+    "mode": ("--mode", {"choices": ("hypothesis", "sup"),
+                        "help": "certificate mode: hypothesis (|f'''| preinvex, from the "
+                                "endpoints) or sup (an interval enclosure of f''')"}),
     "target": ("--target", {"type": float, "help": "adaptive certificate target"}),
     "fixed-n": ("--fixed-n", {"type": int, "help": "uniform subinterval count"}),
     "with-true-error": ("--with-true-error", {"action": "store_const", "const": True,

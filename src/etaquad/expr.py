@@ -30,6 +30,12 @@ EVAL_CHUNK points bit for bit as one run would, so callers never slice.
 A number x runs as a one-point array and returns floats with its bits.
 Jets propagate the value and first three derivatives through every
 operation, so no finite differencing is involved anywhere.
+
+A third lane runs the same tape and the same jet rules on Intervals:
+``enclose3`` encloses the value and the first three derivatives over
+whole intervals [lo, hi], rounding every result outward.  Where a point
+run would raise DomainError, an interval that meets the domain edge
+encloses as the whole line instead, so a caller can bisect it.
 """
 
 from __future__ import annotations
@@ -41,11 +47,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .interval import ENTIRE, Interval, rows
+
 __all__ = [
     "KINK_TOL",
     "ParseError",
     "DomainError",
     "Jet3",
+    "Interval",
     "Expression",
     "parse",
 ]
@@ -77,9 +86,9 @@ class DomainError(ValueError):
 class Jet3:
     """Value and first three derivatives of a function at a point.
 
-    Entries are floats for scalar evaluation points and ndarrays for
-    vectorised ones.  Arithmetic follows the usual sum, Leibniz and
-    quotient rules truncated at order three.
+    Entries are floats for scalar evaluation points, ndarrays for
+    vectorised ones and Intervals for enclosures.  Arithmetic follows the
+    usual sum, Leibniz and quotient rules truncated at order three.
     """
 
     d0: object
@@ -124,14 +133,13 @@ class Jet3:
 
     def __truediv__(self, other):
         f, g = self, _lift(other)
-        if np.any(g.d0 == 0.0):
-            raise DomainError("division by zero")
+        edge = _edge(g.d0, g.d0 == 0.0, "division by zero")
         # Solve f = q*g order by order.
         q0 = f.d0 / g.d0
         q1 = (f.d1 - q0 * g.d1) / g.d0
         q2 = (f.d2 - q0 * g.d2 - 2.0 * q1 * g.d1) / g.d0
         q3 = (f.d3 - q0 * g.d3 - 3.0 * q1 * g.d2 - 3.0 * q2 * g.d1) / g.d0
-        return Jet3(q0, q1, q2, q3)
+        return _unbounded(Jet3(q0, q1, q2, q3), edge)
 
     def __rtruediv__(self, other):
         return _lift(other).__truediv__(self)
@@ -154,17 +162,36 @@ def _chain(u: Jet3, f0, f1, f2, f3) -> Jet3:
 # ---------------------------------------------------------------------------
 # Tape primitives.  Binary ones take their two arguments, unary ones their
 # argument and the entry's constant.  An argument is a value (a float or an
-# ndarray) on a value run and a Jet3 on a jet run; domain checks look at the
-# value part only, so both runs refuse the same points.
+# ndarray) on a value run and a Jet3 on a jet run, of numbers or of
+# Intervals; domain checks look at the value part only, so the point runs
+# refuse the same points and an interval run marks the intervals that
+# possibly meet them.
 
 
-def _refuse(bad, message: str) -> None:
+def _edge(u0, bad, message: str):
+    """Where the argument u0 meets a domain edge, ``bad``: a point lane
+    raises DomainError at any; an interval lane returns the mask (None
+    when empty) for _unbounded."""
+    if isinstance(u0, Interval):
+        return bad if bad.any() else None
     if np.any(bad):
         raise DomainError(message)
+    return None
+
+
+def _unbounded(r, edge):
+    """r, a Jet3 or an Interval, with each component the whole line where
+    ``edge`` holds."""
+    if edge is None:
+        return r
+    if isinstance(r, Jet3):
+        return Jet3(*(_unbounded(c, edge) for c in (r.d0, r.d1, r.d2, r.d3)))
+    return Interval(np.where(edge, ENTIRE, rows(r)))
 
 
 def _div(u, v):
-    _refuse((v.d0 if isinstance(v, Jet3) else v) == 0.0, "division by zero")
+    if not isinstance(v, Jet3):  # a jet's division checks its own divisor
+        _edge(v, v == 0.0, "division by zero")
     return u / v
 
 
@@ -174,9 +201,10 @@ def _powi(u, n):
     valid for any base, and a float overflows to +-inf rather than raising."""
     u0 = u.d0 if isinstance(u, Jet3) else u
     if n <= 0:
-        if n < 0:
-            _refuse(u0 == 0.0, "zero base with negative exponent")
-        one = np.ones_like(np.asarray(u0, dtype=float))
+        if n < 0:  # on an interval lane, the division below marks the edge
+            _edge(u0, u0 == 0.0, "zero base with negative exponent")
+        one = (Interval.point(1.0) if isinstance(u0, Interval)
+               else np.ones_like(np.asarray(u0, dtype=float)))
         one = Jet3.constant(one) if isinstance(u, Jet3) else one
         return one if n == 0 else one / _powi(u, -n)
     result = None
@@ -193,9 +221,9 @@ def _abs(u, c):
     # Values are fine everywhere; only derivatives mind the kink.
     if not isinstance(u, Jet3):
         return np.abs(u)
-    _refuse(np.abs(u.d0) <= KINK_TOL, "derivative of abs within 1e-12 of its kink")
+    edge = _edge(u.d0, np.abs(u.d0) <= KINK_TOL, "derivative of abs within 1e-12 of its kink")
     sgn = np.where(u.d0 > 0.0, 1.0, -1.0)
-    return Jet3(np.abs(u.d0), sgn * u.d1, sgn * u.d2, sgn * u.d3)
+    return _unbounded(Jet3(np.abs(u.d0), sgn * u.d1, sgn * u.d2, sgn * u.d3), edge)
 
 
 def _smooth(outer, refusal=None):
@@ -206,9 +234,8 @@ def _smooth(outer, refusal=None):
     def primitive(u, c):
         jet = isinstance(u, Jet3)
         u0 = u.d0 if jet else u
-        if refusal is not None:
-            _refuse(u0 <= 0.0, refusal)
-        return _chain(u, *outer(u0, c)) if jet else next(outer(u0, c))
+        edge = None if refusal is None else _edge(u0, u0 <= 0.0, refusal)
+        return _unbounded(_chain(u, *outer(u0, c)), edge) if jet else next(outer(u0, c))
 
     return primitive
 
@@ -241,8 +268,13 @@ def _cos(u0, c):
 def _pow(u0, r):
     """Fractional power with the constant exponent r.  A constant base is
     cast to a numpy float, whose pow gives inf where a float's raises
-    OverflowError: pow(x, pow(10, 400.5)) is refused as a non-finite exponent."""
-    u0 = np.float64(u0) if np.ndim(u0) == 0 else u0
+    OverflowError: pow(x, pow(10, 400.5)) is refused as a non-finite exponent.
+    On an interval base, r is a point interval, so that r - 1.0 and the
+    coefficients round outward too."""
+    if isinstance(u0, Interval):
+        r = Interval.point(r)
+    elif np.ndim(u0) == 0:
+        u0 = np.float64(u0)
     yield u0 ** r
     yield r * u0 ** (r - 1.0)
     yield r * (r - 1.0) * u0 ** (r - 2.0)
@@ -264,12 +296,20 @@ _UNARY = {
 
 
 @np.errstate(all="ignore")
-def _run(tape, x, jet: bool, args=()):
-    """Run the tape at x with the parameter values ``args``; returns the
-    value, or the jet's d0..d3, as a tuple.  Overflow and invalid
+def _run(tape, x, lane: str, args=()):
+    """Run the tape at x with the parameter values ``args`` on one lane:
+    "value" returns the value, "jet" the jet's d0..d3, and "interval" the
+    rows of the enclosures d0..d3 over the intervals whose rows x holds,
+    each as a tuple.  Constants and parameters are exact points, so on the
+    interval lane they are point intervals.  Overflow and invalid
     operations give inf and nan without a warning; the callers that need
     finite numbers check for them."""
-    var = Jet3.variable(x) if jet else x
+    if lane == "value":
+        var, lift = x, None
+    elif lane == "jet":
+        var, lift = Jet3.variable(x), Jet3.constant
+    else:
+        var, lift = Jet3.variable(Interval(x)), lambda v: Jet3.constant(Interval.point(v))
     stack = []
     for op, c in tape:
         if op in _BINARY:
@@ -281,9 +321,9 @@ def _run(tape, x, jet: bool, args=()):
             stack.append(var)
         else:
             value = args[c] if op == "param" else c
-            stack.append(Jet3.constant(value) if jet else value)
+            stack.append(value if lift is None else lift(value))
     out = stack.pop()
-    return (out.d0, out.d1, out.d2, out.d3) if jet else (out,)
+    return (out,) if lift is None else tuple(rows(c) for c in (out.d0, out.d1, out.d2, out.d3))
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +468,7 @@ class _Parser:
             if any(op in ("var", "param") for op, _ in exponent):
                 raise ParseError(pos, "pow exponent must be a constant")
             try:
-                r = float(_run(exponent, 0.0, False)[0])
+                r = float(_run(exponent, 0.0, "value")[0])
                 if not np.isfinite(r):
                     raise DomainError(f"{r} is not finite")
             except DomainError as exc:
@@ -448,33 +488,41 @@ def _readonly(out, shape):
     return out
 
 
-def _evaluate(tape, x, jet: bool, args) -> list:
-    """_run's components as read-only arrays of the broadcast shape of x
-    and ``args``, run on flat slices of EVAL_CHUNK points when it holds
-    more; as floats from a one-point run when none of them is an ndarray."""
-    shapes = [v.shape for v in (x, *args) if isinstance(v, np.ndarray)]
+def _evaluate(tape, lane: str, xs: tuple, args) -> list:
+    """_run's components as read-only arrays of the broadcast shape of the
+    variable's arrays ``xs`` (x, or the interval lane's lo and hi) and
+    ``args``, run on flat slices of EVAL_CHUNK points when it holds more;
+    as floats from a one-point run when none of them is an ndarray.  The
+    interval lane always runs flat, with lo and hi as the rows of one
+    array, and each of its components leads with an axis of lo and hi."""
+    ins = (*xs, *args)
+    shapes = [v.shape for v in ins if isinstance(v, np.ndarray)]
     if not shapes:
-        return [float(c[0]) for c in _evaluate(tape, np.array([x], dtype=float), jet, args)]
+        one = tuple(np.array([x], dtype=float) for x in xs)
+        return [float(c[0]) for c in _evaluate(tape, lane, one, args)]
     shape = shapes[0] if len(shapes) == 1 else np.broadcast_shapes(*shapes)
-    if (size := math.prod(shape)) <= EVAL_CHUNK:
-        return [_readonly(c, shape) for c in _run(tape, x, jet, args)]
+    size = math.prod(shape)
+    rows = (2,) if lane == "interval" else ()
+    if size <= EVAL_CHUNK and not rows:
+        return [_readonly(c, shape) for c in _run(tape, xs[0], lane, args)]
     flat = [(v if v.shape == shape else np.broadcast_to(v, shape)).ravel()
-            if isinstance(v, np.ndarray) else v for v in (x, *args)]
-    out = [np.empty(size) for _ in range(4 if jet else 1)]
+            if isinstance(v, np.ndarray) else v for v in ins]
+    out = [np.empty((*rows, size)) for _ in range(1 if lane == "value" else 4)]
     for i in range(0, size, EVAL_CHUNK):
         part = [v[i : i + EVAL_CHUNK] if isinstance(v, np.ndarray) else v for v in flat]
-        for buf, c in zip(out, _run(tape, part[0], jet, part[1:])):
-            buf[i : i + EVAL_CHUNK] = c
-    return [_readonly(buf.reshape(shape), shape) for buf in out]
+        x = np.stack(part[:2]) if rows else part[0]
+        for buf, c in zip(out, _run(tape, x, lane, part[len(xs):])):
+            buf[..., i : i + EVAL_CHUNK] = c
+    return [_readonly(buf.reshape(*rows, *shape), (*rows, *shape)) for buf in out]
 
 
 class Expression:
     """A parsed expression of one variable and its named parameters, held
-    as its tape and evaluable for values and jets.
+    as its tape and evaluable for values, jets and jet enclosures.
 
-    ``value`` and ``jet3`` take each parameter as a keyword argument: a
-    number, or an array that broadcasts against x (one entry per draw,
-    say, with x holding each draw's points along the last axis).
+    ``value``, ``jet3`` and ``enclose3`` take each parameter as a keyword
+    argument: a number, or an array that broadcasts against x (one entry
+    per draw, say, with x holding each draw's points along the last axis).
     """
 
     __slots__ = ("source", "tape", "params")
@@ -492,12 +540,24 @@ class Expression:
         return tuple([bound[name] for name in self.params])
 
     def value(self, x, **params):
-        return _evaluate(self.tape, x, False, self._args(params))[0]
+        return _evaluate(self.tape, "value", (x,), self._args(params))[0]
 
     __call__ = value  # unused in the package; perfbench/tracer.py wraps it by name
 
     def jet3(self, x, **params) -> Jet3:
-        return Jet3(*_evaluate(self.tape, x, True, self._args(params)))
+        return Jet3(*_evaluate(self.tape, "jet", (x,), self._args(params)))
+
+    def enclose3(self, lo, hi, **params) -> Jet3:
+        """Enclosures of the value and the first three derivatives over
+        each interval [lo, hi], as a Jet3 of Intervals whose lo and hi are
+        read-only arrays of the broadcast shape; parameters are points.
+        An interval that meets a domain edge (a divisor that may be 0, a
+        log or fractional pow base that may be <= 0, the abs kink) gets
+        the whole line for every component; nothing is refused."""
+        lo, hi = np.asarray(lo, dtype=float), np.asarray(hi, dtype=float)
+        if not np.all(lo <= hi):
+            raise ValueError("enclose3 needs lo <= hi, with neither NaN")
+        return Jet3(*map(Interval, _evaluate(self.tape, "interval", (lo, hi), self._args(params))))
 
     def __repr__(self):
         return f"Expression({self.source!r})"

@@ -258,6 +258,7 @@ def run_inequality_suite(
         raise ValueError("trials must be nonnegative")
     if not specs:
         raise ValueError("specs must name at least one bound")
+    path_grid(grid_n)  # checked even when no trial is drawn
     rng = np.random.Generator(np.random.Philox(seed))
     drawn = []  # (family, draw) per trial
     groups: dict[Family, list[int]] = {}

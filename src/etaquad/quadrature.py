@@ -7,14 +7,16 @@ is attached:
   * ``hypothesis`` mode trusts preinvexity of |f'''| along the path and
     charges w^4/384 * (|f'''(left)| + |f'''(right)|) per subinterval of
     width w;
-  * ``sup`` mode samples |f'''| on a fixed grid inside each subinterval
-    and charges w^4/192 * safety * max, with a 1.1 safety factor, making
-    no shape assumption beyond the sampling.
+  * ``sup`` mode encloses f''' over each whole subinterval with one
+    interval jet (``Expression.enclose3``) and charges w^4/192 * sup|f'''|,
+    making no shape assumption.
 
 The certificate is the sum of local bounds.  A fixed uniform n accepts
 every subinterval at once; a target bisects level by level, accepting a
 subinterval once its bound is at most target * |w| / |h|, so the
-certificate is at most the target up to rounding.
+certificate is at most the target up to rounding.  An unbounded
+enclosure (the subinterval meets a pole, a log or fractional-pow edge or
+the abs kink) is bisected under a target and refused under a fixed n.
 """
 
 from __future__ import annotations
@@ -37,8 +39,6 @@ __all__ = [
 ]
 
 MODES = ("hypothesis", "sup")
-SUP_SAMPLES = 33
-SUP_SAFETY = 1.1
 DEFAULT_BUDGET = 1 << 20
 # The partition's columns, as CertifiedResult holds them and its JSON names them.
 PARTITION_COLUMNS = ("left", "right", "local_value", "local_bound")
@@ -84,8 +84,9 @@ def _jets(f, x: np.ndarray) -> np.ndarray:
     return np.stack((j.d0, j.d1, j.d3))
 
 
-def _local(f, left, right, jets_left, jets_right, mode: str):
-    """Local values and error bounds of the subintervals [left, right]."""
+def _local(f, left, right, jets_left, jets_right, mode: str, bisect: bool):
+    """Local values and error bounds of the subintervals [left, right];
+    with ``bisect``, a sup bound may be +inf, for the caller to split."""
     w = right - left
     with np.errstate(all="ignore"):  # non-finite results are refused below
         values = w * (jets_left[0] + jets_right[0]) / 2.0
@@ -93,10 +94,12 @@ def _local(f, left, right, jets_left, jets_right, mode: str):
         if mode == "hypothesis":
             bounds = np.abs(w) ** 4 / 384.0 * (np.abs(jets_left[2]) + np.abs(jets_right[2]))
         else:
-            grid = left[:, None] + w[:, None] * np.linspace(0.0, 1.0, SUP_SAMPLES)
-            peaks = np.max(np.abs(f.jet3(grid).d3), axis=1)
-            bounds = np.abs(w) ** 4 / 192.0 * SUP_SAFETY * peaks
-    bad = ~(np.isfinite(values) & np.isfinite(bounds))
+            d3 = f.enclose3(np.minimum(left, right), np.maximum(left, right)).d3
+            bounds = np.abs(w) ** 4 / 192.0 * np.maximum(np.abs(d3.lo), np.abs(d3.hi))
+    finite = np.isfinite(bounds)
+    if bisect and mode == "sup":
+        finite |= bounds == np.inf
+    bad = ~(np.isfinite(values) & finite)
     if bad.any():
         raise DomainError(f"non-finite local value {values[bad][0]:.3e} or bound {bounds[bad][0]:.3e} "
                           f"on subinterval [{left[bad][0]}, {right[bad][0]}]")
@@ -115,11 +118,12 @@ def integrate_certified(
     Exactly one refinement policy applies: ``fixed_n`` partitions the
     segment uniformly; otherwise ``target`` bisects level by level every
     subinterval of width w whose bound exceeds ``target * |w| / |h|``,
-    and the halves reuse their parent's end jets.  BudgetError is raised
-    before a level would hold more than DEFAULT_BUDGET subintervals
-    (``fixed_n``, or the accepted plus twice the unaccepted); DomainError
-    on a non-finite local value or bound.  The partition is in path
-    order, from b to b + h.
+    and the halves reuse their parent's end jets, as do the halves of an
+    unbounded ``sup`` enclosure.  BudgetError is raised before a level
+    would hold more than DEFAULT_BUDGET subintervals (``fixed_n``, or the
+    accepted plus twice the unaccepted); DomainError on any other
+    non-finite local value or bound.  The partition is in path order,
+    from b to b + h.
     """
     if mode not in MODES:
         raise ValueError(f"mode must be one of {MODES}")
@@ -139,7 +143,7 @@ def integrate_certified(
     left, right, jl, jr = nodes[:-1], nodes[1:], jets[:, :-1], jets[:, 1:]
     parts = []
     while True:
-        values, bounds = _local(f, left, right, jl, jr, mode)
+        values, bounds = _local(f, left, right, jl, jr, mode, target is not None)
         ok = bounds <= share * np.abs(right - left)
         parts.append((left[ok], right[ok], values[ok], bounds[ok]))
         split = ~ok

@@ -426,12 +426,15 @@ def test_suite_unknown_family(capsys):
         (("check-hypothesis", "--check", "preinvex", "--f", "x", "--dom", "0", "1",
           "--grid", "100000"), None, "got 100000"),
         (("suite", "--trials", "2", "--theorems", ","), None, "at least one bound"),
+        (("bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T2.1"),
+         '{"a":' * 100000, "cannot read config file: maximum recursion depth"),
+        (("suite", "--trials", "0", "--grid", "1"), None, "got 1"),
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):
-    if config is not None:
+    if config is not None:  # a string is the file's text as it stands
         path = tmp_path / "run.json"
-        path.write_text(json.dumps(config))
+        path.write_text(config if isinstance(config, str) else json.dumps(config))
         argv += ("--config", str(path))
     code, out, err = invoke(capsys, *argv)
     assert code == 2

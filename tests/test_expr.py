@@ -489,6 +489,11 @@ SLICED = 3 * EVAL_CHUNK + 5
 
 
 def _components(f, x, jet, **params):
+    """The value, the jet, or (for jet="interval") the enclosures over
+    [x, x + 1/64] as their lo and hi arrays."""
+    if jet == "interval":
+        out = f.enclose3(x, x + 0.015625, **params)
+        return tuple(r for c in (out.d0, out.d1, out.d2, out.d3) for r in (c.lo, c.hi))
     out = f.jet3(x, **params) if jet else f.value(x, **params)
     return (out.d0, out.d1, out.d2, out.d3) if jet else (out,)
 
@@ -504,7 +509,7 @@ def assert_sliced_matches_pieces(f, x, jet, **params):
 
 
 @pytest.mark.parametrize("source,x0", CORPUS + [("3", 0.0), ("abs(x-0.3)", 0.0)])
-@pytest.mark.parametrize("jet", [False, True])
+@pytest.mark.parametrize("jet", [False, True, "interval"])
 def test_sliced_evaluation_matches_pieces(source, x0, jet):
     x = x0 + np.linspace(0.05, 0.5, SLICED)
     assert_sliced_matches_pieces(parse(source), x, jet)
@@ -527,9 +532,14 @@ def test_sliced_parameter_grid_matches_rows():
         one = f.jet3(path[k], **row)
         for got, want in zip((jets.d0, jets.d1, jets.d2, jets.d3), (one.d0, one.d1, one.d2, one.d3)):
             assert got[k].tobytes() == want.tobytes()
+    boxes = _components(f, path, "interval", **params)
+    for k in range(0, 150, 7):
+        row = {name: v[k] for name, v in params.items()}
+        for got, want in zip(boxes, _components(f, path[k], "interval", **row)):
+            assert got[k].tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("jet", [False, True])
+@pytest.mark.parametrize("jet", [False, True, "interval"])
 def test_sliced_non_contiguous_input_matches_rows(jet):
     f = parse("exp(x)*sin(3.03*x)+log(2+x)/(1+x*x)")
     x = np.random.default_rng(5).uniform(-1.0, 1.0, (400, 200))[:, ::2]
@@ -548,7 +558,8 @@ def test_sliced_outputs_are_read_only_float_arrays_of_the_broadcast_shape(source
     params = {"c": np.arange(3.0).reshape(3, 1)} if f.params else {}
     for x in (np.linspace(0.0, 1.0, SLICED), np.arange(SLICED)):
         shape = (3, SLICED) if f.params else (SLICED,)
-        for out in (f.value(x, **params), *_components(f, x, True, **params)):
+        for out in (f.value(x, **params), *_components(f, x, True, **params),
+                    *_components(f, x, "interval", **params)):
             assert out.shape == shape and out.dtype == np.float64
             assert not out.flags.writeable
 
@@ -564,3 +575,43 @@ def test_sliced_domain_error_in_the_last_slice(source, bad, jet):
     assert x.size - 1 >= 3 * EVAL_CHUNK  # the bad point is alone in the last slice
     with pytest.raises(DomainError):
         _components(parse(source), x, jet)
+
+
+# ---------------------------------------------------------------------------
+# The interval lane: enclose3.
+
+
+@pytest.mark.parametrize(
+    "source,lo,hi",
+    [("1/x", -1.0, 1.0), ("1/(x-0.5)", 0.0, 1.0), ("log(x)", -1.0, 1.0), ("log(x)", 0.0, 1.0),
+     ("pow(x, 0.5)", -1.0, 1.0), ("pow(x, -2)", -0.5, 0.5), ("abs(x)", -1.0, 1.0),
+     ("exp(x)*log(x - 0.25)", 0.0, 1.0)],
+)
+def test_enclosure_meeting_a_domain_edge_is_the_whole_line(source, lo, hi):
+    f = parse(source)
+    enc = f.enclose3(np.array([lo, 2.0]), np.array([hi, 3.0]))
+    for c in (enc.d0, enc.d1, enc.d2, enc.d3):
+        assert (c.lo[0], c.hi[0]) == (-math.inf, math.inf), source
+        assert np.isfinite(c.lo[1]) and np.isfinite(c.hi[1]), source  # [2, 3] is inside the domain
+
+
+def test_enclosure_of_a_point_holds_its_jet():
+    f = parse("exp(x)*sin(3.03*x)+pow(x,6)")
+    x = np.linspace(-1.0, 2.0, 7)
+    enc, jet = f.enclose3(x, x), f.jet3(x)
+    for c, want in zip((enc.d0, enc.d1, enc.d2, enc.d3), (jet.d0, jet.d1, jet.d2, jet.d3)):
+        assert np.all(c.lo <= want) and np.all(want <= c.hi)
+        assert np.all(c.hi - c.lo <= 1e-12 * np.maximum(1.0, np.abs(want)))
+
+
+@pytest.mark.parametrize("lo,hi", [(1.0, 0.0), (math.nan, 1.0), (0.0, math.nan)])
+def test_enclosure_needs_ordered_endpoints(lo, hi):
+    with pytest.raises(ValueError, match="lo <= hi"):
+        parse("x").enclose3(np.array([0.0, lo]), np.array([1.0, hi]))
+
+
+def test_scalar_enclosure_is_a_one_point_run():
+    f = parse("sin(x)")
+    one, many = f.enclose3(0.25, 0.5), f.enclose3(np.array([0.25]), np.array([0.5]))
+    for a, b in zip((one.d0, one.d3), (many.d0, many.d3)):
+        assert (a.lo, a.hi) == (b.lo[0], b.hi[0])

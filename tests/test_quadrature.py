@@ -93,28 +93,35 @@ def test_adaptive_meets_target_and_is_deterministic():
 
 
 class CountingJets:
-    """Delegates ``jet3`` to an expression and counts the calls."""
+    """Delegates ``jet3`` and ``enclose3`` to an expression and counts the
+    calls of each."""
 
     def __init__(self, f):
         self.f = f
         self.calls = 0
+        self.enclosures = 0
 
     def jet3(self, x):
         self.calls += 1
         return self.f.jet3(x)
 
+    def enclose3(self, lo, hi):
+        self.enclosures += 1
+        return self.f.enclose3(lo, hi)
+
 
 @pytest.mark.parametrize("mode, target", [("hypothesis", 1e-12), ("sup", 1e-9)])
 def test_adaptive_accepts_width_shares_level_by_level(mode, target):
     # Each accepted bound is within its width's share of the target, so the
-    # certificate cannot drift above it; one jet call per level (plus the
-    # sup grid) keeps the bisection vectorised.
+    # certificate cannot drift above it; one jet call per level (plus one
+    # sup enclosure) keeps the bisection vectorised.
     f = CountingJets(parse("exp(x)*sin(3*x)+pow(x,6)"))
     seg = PathSegment(0.0, 2.0)
     res = integrate_certified(f, seg, mode=mode, target=target)
     assert res.certificate <= target
     assert np.all(res.local_bound <= target * np.abs(res.right - res.left) / abs(seg.h))
-    assert f.calls <= 64
+    assert f.calls <= 32
+    assert f.enclosures == (f.calls if mode == "sup" else 0)
 
 
 @pytest.mark.parametrize("policy", [{"target": 1e-6}, {"fixed_n": 8}], ids=["target", "fixed_n"])
@@ -205,11 +212,63 @@ def test_sup_mode_sound_and_not_smaller():
 
 @pytest.mark.parametrize("policy", [{"fixed_n": 4096}, {"target": 1e-9}])
 def test_sup_certificate_does_not_depend_on_the_slice_size(monkeypatch, policy):
-    # The sup grid of 33 points per subinterval runs in slices; one run of
-    # the whole grid must give the same report to the byte.
+    # The node jets and the sup enclosures run in slices of EVAL_CHUNK
+    # points; slices of 1000 and one run of the whole must give the same
+    # report to the byte.
     f = parse("exp(x)*sin(3.03*x)+pow(x,6)")
     seg = PathSegment(0.0, 2.0)
+    monkeypatch.setattr(expr, "EVAL_CHUNK", 1000)
     sliced = json.dumps(integrate_certified(f, seg, mode="sup", **policy).to_json())
     monkeypatch.setattr(expr, "EVAL_CHUNK", 1 << 30)
     whole = json.dumps(integrate_certified(f, seg, mode="sup", **policy).to_json())
     assert sliced == whole
+
+
+# ROADMAP Defect 3's inputs, and a function whose first enclosure meets a
+# spurious pole: x*x - x + 1 >= 3/4 on [0, 1], but its interval form over
+# all of [0, 1] is [0, 2].
+SUP_CORPUS = [
+    ("exp(-200*x*x)", -3.0, 3.0, {"target": 1e-6}, [0.0]),
+    ("exp(-100000000*(x-0.0123)*(x-0.0123))", -3.0, 3.0, {"target": 1e-6}, [0.0123]),
+    ("1/(1+25*x*x)", -1.0, 1.0, {"target": 1e-6}, [0.0]),
+    ("1/(1+25*x*x)", -1.0, 1.0, {"fixed_n": 2}, [0.0]),
+    ("1/(x*x - x + 1)", 0.0, 1.0, {"target": 1e-8}, []),
+    ("sin(4*x) + 0.25*pow(x,3)", -0.5, 2.0, {"fixed_n": 5}, []),
+]
+
+
+@pytest.mark.parametrize("source, lo, hi, policy, breaks", SUP_CORPUS)
+def test_sup_certificate_bounds_the_mpmath_error(source, lo, hi, policy, breaks):
+    mpmath = pytest.importorskip("mpmath")
+    res = integrate_certified(parse(source), PathSegment(lo, hi - lo), mode="sup", **policy)
+    names = {"exp": mpmath.exp, "sin": mpmath.sin, "pow": mpmath.power}
+    with mpmath.workdps(30):
+        exact = mpmath.quad(lambda x: eval(source, {"__builtins__": {}}, {**names, "x": x}),
+                            [lo, *breaks, hi])
+        assert abs(exact - res.value) <= res.certificate, (source, res.n, res.certificate)
+    assert "target" not in policy or res.certificate <= policy["target"]
+
+
+def test_sup_certifies_the_narrow_peak_the_samples_missed():
+    # 33 samples per subinterval saw nothing of this peak and accepted n=1
+    # with certificate 0; the whole integral, 1.77e-4, was the error.
+    f = parse("exp(-100000000*(x-0.0123)*(x-0.0123))")
+    res = integrate_certified(f, PathSegment(-3.0, 6.0), mode="sup", target=1e-6)
+    assert res.n > 100 and res.certificate > 0.0
+    assert abs(res.value - math.sqrt(math.pi) * 1e-4) <= res.certificate
+
+
+def test_unbounded_sup_enclosure_is_bisected_or_refused(monkeypatch):
+    seg = PathSegment(0.0, 1.0)
+    spurious = parse("1/(x*x - x + 1)")
+    with pytest.raises(DomainError, match="non-finite .* bound inf on subinterval"):
+        integrate_certified(spurious, seg, mode="sup", fixed_n=1)
+    assert math.isfinite(integrate_certified(spurious, seg, mode="sup", target=1e-8).certificate)
+    # A true pole never resolves; the budget stops the bisection.
+    monkeypatch.setattr(quadrature, "DEFAULT_BUDGET", 64)
+    with pytest.raises(BudgetError, match="has bound inf"):
+        integrate_certified(parse("1/(x - 0.3)"), seg, mode="sup", target=1e-6)
+    # An overflowed value is refused at once, under a target too.
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DomainError, match="non-finite"):
+            integrate_certified(parse("exp(800*x)"), seg, mode="sup", target=1e-6)
