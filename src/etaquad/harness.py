@@ -11,7 +11,7 @@ trial count only appends trials.
 
 A family is one expression template with named parameters.  A campaign
 draws every trial first, then evaluates the trials of each family
-together: one parse of the template, one Simpson pass over all their
+together: one parse of the template, one oracle pass over all their
 segments, one jet grid of |f'''| along all their paths, and per bound one
 array of bounds and one gate.  Every step is elementwise or sums each
 segment on its own, so a trial's row has the same bits alone as in any
@@ -411,7 +411,8 @@ def check_hh_classical(f, a: float, b: float, grid_n: int = 65, tol: float = 1e-
 
     For convex f the chain f((a+b)/2) <= mean <= (f(a)+f(b))/2 holds; this
     evaluates both comparisons with an adaptive-quadrature mean.  ``grid_n``
-    sets the oracle's minimum refinement depth.  checked counts the two
+    sets the oracle's minimum depth: it starts from the least power of
+    two, at least 4, at or above grid_n - 1 equal pieces.  checked counts the two
     comparisons; the witness marks the failing side with t = 0.5 (midpoint
     side) or t = 1.0 (endpoint side).
     """

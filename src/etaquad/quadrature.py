@@ -172,7 +172,8 @@ def integrate_certified(
 
 
 def true_error(f, result: CertifiedResult, tol: float = 1e-12) -> float:
-    """|oracle integral - certified value| via adaptive Simpson."""
+    """|oracle integral - certified value| via the adaptive Gauss–Kronrod
+    oracle (``simpson.integrate``)."""
     seg = result.segment
     oracle, _ = simpson.integrate(f.value, seg.b, seg.end, tol=tol)
     return abs(oracle - result.value)

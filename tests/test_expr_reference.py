@@ -1,8 +1,9 @@
-"""Jets checked against an independent source: the grammar is a subset of
-Python expression syntax, so ``eval`` of an expression's source with the
-primitives bound to mpmath, differentiated by ``mpmath.diff`` at 40
-digits, gives a reference for orders 0-3 that shares no code with the
-parser or the jet rules."""
+"""Jets and the quadrature oracle checked against an independent source:
+the grammar is a subset of Python expression syntax, so ``eval`` of an
+expression's source with the primitives bound to mpmath, differentiated by
+``mpmath.diff`` at 40 digits or integrated by ``mpmath.quad``, gives a
+reference that shares no code with the parser, the jet rules or the
+oracle."""
 
 import math
 
@@ -13,7 +14,7 @@ mpmath = pytest.importorskip("mpmath")
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from etaquad import DomainError, Interval, parse  # noqa: E402
+from etaquad import DomainError, Interval, integrate, parse  # noqa: E402
 from etaquad.interval import TRANSCENDENTAL_ULPS  # noqa: E402
 
 from test_expr import CORPUS, SLICED, assert_sliced_matches_pieces  # noqa: E402
@@ -392,3 +393,53 @@ def test_fractional_pow_enclosures_hold_the_exact_derivatives(r):
                 coef = mpmath.fprod(mpmath.mpf(r) - j for j in range(k))
                 at_lo = coef * mpmath.mpf(x) ** (mpmath.mpf(r) - k)
                 assert c.lo[i] <= at_lo <= c.hi[i], (r, x, k, c.lo[i], c.hi[i], at_lo)
+
+
+# --- the quadrature oracle against mpmath.quad -------------------------------
+
+EPS = 2.0 ** -52
+
+
+def _assert_oracle_close(source, lo, hi, tol, points=()):
+    """|integrate - mpmath.quad| <= tol + 64*eps*integral of |f|."""
+    got, _ = integrate(parse(source).value, lo, hi, tol=tol)
+    nodes = [lo, *points, hi]
+    with mpmath.workdps(30):
+        want = mpmath.quad(lambda v: _mp(source, v), nodes)
+        size = mpmath.quad(lambda v: abs(_mp(source, v)), nodes)
+    assert abs(got - float(want)) <= tol + 64.0 * EPS * float(size), (source, lo, hi, got, want)
+
+
+@pytest.mark.parametrize(
+    "source,lo,hi,points",
+    [("abs(2*x-1)", 0.0, 1.0, (0.5,)), ("1/(1+25*x*x)", -1.0, 1.0, ())],
+    ids=["kink", "runge"],
+)
+def test_oracle_matches_mpmath_quad(source, lo, hi, points):
+    _assert_oracle_close(source, lo, hi, 1e-12, points)
+
+
+@hypothesis.settings(
+    max_examples=150,
+    deadline=None,
+    derandomize=True,
+    suppress_health_check=[hypothesis.HealthCheck.filter_too_much, hypothesis.HealthCheck.too_slow],
+)
+@hypothesis.given(expressions, st.floats(-2.0, 2.0, allow_nan=False),
+                  st.sampled_from([1e-3, 0.1, 0.5, 1.0, 2.0]))
+def test_random_expression_integrals_match_mpmath_quad(expr, lo, width):
+    # The guards hold on a grid of the segment, so the integrand is smooth
+    # and of moderate size there; the tolerance scales with its size.
+    source, guards = expr
+    hi = lo + width
+    grid = np.linspace(lo, hi, 65)
+    try:
+        values = parse(source).value(grid)
+        for kind, arg in guards:
+            u = parse(arg).value(grid)
+            hypothesis.assume(np.all(u > MARGIN if kind == "positive" else np.abs(u) > MARGIN))
+    except DomainError:
+        hypothesis.reject()
+    hypothesis.assume(np.all(np.abs(values) < 1e3))
+    tol = 1e-11 * max(1.0, float(np.abs(values).max()))
+    _assert_oracle_close(source, lo, hi, tol)

@@ -1,6 +1,7 @@
 """Adaptive quadrature oracle: exactness, tolerances, failure modes."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -56,10 +57,21 @@ def test_tolerance_is_roughly_honoured():
 
 
 def test_min_depth_forces_refinement():
-    # One Simpson step sees sin(2*pi*x) as identically zero; forced depth
-    # makes the oracle actually look.
     value, _ = integrate(lambda x: np.sin(2.0 * math.pi * x) + x, 0.0, 1.0)
     assert value == pytest.approx(0.5, abs=1e-11)
+    # A degree-30 polynomial that vanishes at the 15 nodes of [0, 1] is zero
+    # to the rule on the whole interval, with a zero error estimate; forced
+    # depth makes the oracle look at pieces.  Scaled by its integral
+    # (mpmath.quad at 50 digits) to integrate to 1.
+    nodes = 0.5 + 0.5 * simpson.NODES
+    scale = 1.0 / 1.6239132339189119839e-18
+
+    def vanishing(x):
+        return scale * np.prod((np.reshape(x, (-1, 1)) - nodes) ** 2, axis=1)
+
+    assert integrate(vanishing, 0.0, 1.0, min_depth=0) == (0.0, 0.0)
+    value, _ = integrate(vanishing, 0.0, 1.0)
+    assert value == pytest.approx(1.0, abs=1e-11)
 
 
 def test_step_discontinuity_does_not_converge():
@@ -123,24 +135,75 @@ def test_max_live_counts_the_intervals_of_all_segments(monkeypatch):
 
     sizes = []
     simpson.integrate_segments(fn, [0.0], [2.0], tol=1e-9)
-    # A level evaluates two quarter points per pending interval, in one
-    # call while they are fewer than EVAL_CHUNK.
+    # A level evaluates 15 nodes per pending interval, in one call while
+    # they are fewer than EVAL_CHUNK.
     assert max(sizes) < simpson.EVAL_CHUNK
-    monkeypatch.setattr(simpson, "MAX_LIVE", max(sizes) // 2)
+    assert max(sizes) % simpson.NODES.size == 0
+    monkeypatch.setattr(simpson, "MAX_LIVE", max(sizes) // simpson.NODES.size)
     simpson.integrate_segments(fn, [0.0], [2.0], tol=1e-9)  # one segment fits
     with pytest.raises(ConvergenceError, match="pending over 2 segment"):
         simpson.integrate_segments(fn, [0.0, 0.0], [2.0, 2.0], tol=1e-9)
 
 
 def test_integrand_is_called_in_slices_of_at_most_eval_chunk_points():
+    # 600 segments start as 2400 pieces: 36,000 nodes in the first level.
+    sizes = []
+
+    def fn(x, seg):
+        sizes.append(x.size)
+        return np.sin(40.0 * x)
+
+    simpson.integrate_segments(fn, np.zeros(600), np.linspace(0.5, 10.0, 600), tol=1e-11)
+    assert max(sizes) == simpson.EVAL_CHUNK < sum(sizes)
+
+
+def test_segment_bits_do_not_depend_on_a_batch_sliced_at_eval_chunk():
+    # The batch's first level holds 600 * 4 * 15 nodes, so a segment's
+    # nodes share blocks and slices with other segments' nodes.  The kink
+    # leaves two intervals pending in the deep levels of a segment alone,
+    # against hundreds in the batch.
+    c = np.linspace(0.5, 2.0, 600)
+    hi = np.linspace(0.5, 10.0, 600)
+    values, estimates = simpson.integrate_segments(
+        lambda x, seg: c[seg] * np.sin(40.0 * x) + np.abs(x - 0.3), np.zeros(600), hi, tol=1e-11
+    )
+    for k in (0, 137, 599):
+        one = integrate(lambda x: c[k] * np.sin(40.0 * x) + np.abs(x - 0.3), 0.0, hi[k], tol=1e-11)
+        assert _bits([values[k], estimates[k]]) == _bits(one)
+
+
+def test_pole_stops_at_the_live_cap_in_slices():
+    # Rounding keeps the intervals next to the pole above tolerance, so the
+    # pending intervals grow until the cap stops them; every call stays
+    # within one slice, and what the oracle allocates on the way (11 MB
+    # when measured) stays under 16 MB.
+    f = parse("1/(x-0.3)")
     sizes = []
 
     def fn(x):
         sizes.append(x.size)
-        return np.sin(40.0 * x)
+        return f.value(x)
 
-    integrate(fn, 0.0, 10.0, tol=1e-11)
-    assert max(sizes) == simpson.EVAL_CHUNK < sum(sizes)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ConvergenceError, match="pending over 1 segment"):
+            integrate(fn, 0.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert max(sizes) == simpson.EVAL_CHUNK
+    assert peak <= 16 * 2**20
+
+
+def test_rule_constants_match_an_independent_source():
+    # The Gauss nodes and weights are numpy's 7-point Gauss-Legendre rule,
+    # and the Kronrod rule integrates x^k exactly for k <= 22 (= 3*7 + 1).
+    x, w = np.polynomial.legendre.leggauss(7)
+    assert np.allclose(simpson.NODES[1::2], x, rtol=0, atol=1e-15)
+    assert np.allclose(simpson.GAUSS, w, rtol=0, atol=1e-15)
+    for k in range(23):
+        exact = (1.0 - (-1.0) ** (k + 1)) / (k + 1)
+        assert abs(simpson.KRONROD @ simpson.NODES ** k - exact) <= 1e-15
 
 
 def test_non_finite_value_names_its_segment():
