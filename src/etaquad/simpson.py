@@ -19,12 +19,16 @@ interval carries the index of its segment.  A segment starts as
 ``2**min_depth`` equal pieces, and every interval pending at a level has
 been split as often as every other, so they share one acceptance
 threshold: tol at the whole segment, halved at each next level, which is
-tol*(width/total) to the bit.  The accepted local errors of a segment so
-sum to at most the requested tolerance.  Each interval's sums over its
-nodes are one row reduction (``np.einsum``, never a BLAS product, whose
-blocking depends on the batch), and ``np.bincount`` adds each segment's
-accepted intervals in the order a run of that segment alone would, so its
-result does not depend on the other segments.
+tol*(width/total) to the bit.  An interval is also accepted when |K - G|
+is within ROUNDING*eps of its Kronrod sum of |f|, the rounding of K and
+G: that term shrinks with the width as the threshold does, so without it
+a tolerance below about eps*int|f| could never be met.  The accepted
+local errors of a segment so sum to at most tol plus about
+ROUNDING*eps*int|f|.  Each interval's sums over its nodes are one row
+reduction (``np.einsum``, never a BLAS product, whose blocking depends on
+the batch), and ``np.bincount`` adds each segment's accepted intervals in
+the order a run of that segment alone would, so its result does not
+depend on the other segments.
 
 The 15 nodes are interior, so each segment's two ends are evaluated once
 before the first level: an endpoint singularity is refused, not missed.
@@ -43,12 +47,13 @@ from .expr import EVAL_CHUNK
 __all__ = ["ConvergenceError", "integrate", "integrate_segments"]
 
 MAX_DEPTH = 40
-MAX_LIVE = 1 << 17
+MAX_LIVE = 1 << 20
+ROUNDING = 50.0  # QUADPACK's factor on eps*resabs in qk15's error
 
 # QUADPACK qk15: the Kronrod nodes on [0, 1] (the odd-indexed ones and 0
 # are the Gauss nodes), their Kronrod weights, and the 7-point Gauss
 # weights of xgk[1], xgk[3], xgk[5] and 0.
-XGK = (
+_XGK = (
     0.991455371120812639206854697526329,
     0.949107912342758524526189684047851,
     0.864864423359769072789712788640926,
@@ -58,7 +63,7 @@ XGK = (
     0.207784955007898467600689403773245,
     0.000000000000000000000000000000000,
 )
-WGK = (
+_WGK = (
     0.022935322010529224963732008058970,
     0.063092092629978553290700663189204,
     0.104790010322250183839876322541518,
@@ -68,7 +73,7 @@ WGK = (
     0.204432940075298892414161999234649,
     0.209482141084727828012999174891714,
 )
-WG = (
+_WG = (
     0.129484966168869693270611432679082,
     0.279705391489276667901467771423780,
     0.381830050505118944950369775488975,
@@ -77,9 +82,9 @@ WG = (
 
 # The 15 nodes on [-1, 1] in ascending order, with their weights; the
 # Gauss nodes sit at the odd positions.
-NODES = np.array([-x for x in XGK[:-1]] + list(XGK[::-1]))
-KRONROD = np.array(WGK[:-1] + WGK[::-1])
-GAUSS = np.array(WG[:-1] + WG[::-1])
+NODES = np.array([-x for x in _XGK[:-1]] + list(_XGK[::-1]))
+KRONROD = np.array(_WGK[:-1] + _WGK[::-1])
+GAUSS = np.array(_WG[:-1] + _WG[::-1])
 
 
 class ConvergenceError(RuntimeError):
@@ -96,11 +101,12 @@ def integrate(
     """Signed integral of ``fn`` over [lo, hi] by adaptive G7–K15.
 
     Returns ``(value, error_estimate)``: the sum of the accepted Kronrod
-    values, and the sum of their |Kronrod - Gauss| differences.  The
-    closed interval's ends are evaluated once, and a non-finite value there
-    or at any node raises ConvergenceError.  ``min_depth`` starts the
-    interval as ``2**min_depth`` equal pieces, which guards against a
-    spuriously small difference on a periodic or symmetric integrand.
+    values, and the sum of their |Kronrod - Gauss| differences, which is
+    at most ``tol`` plus about ROUNDING*eps*int|f|.  The closed interval's
+    ends are evaluated once, and a non-finite value there or at any node
+    raises ConvergenceError.  ``min_depth`` starts the interval as
+    ``2**min_depth`` equal pieces, which guards against a spuriously small
+    difference on a periodic or symmetric integrand.
     """
     value, estimate = integrate_segments(lambda x, seg: fn(x), lo, hi, tol, min_depth)
     return float(value[0]), float(estimate[0])
@@ -136,8 +142,8 @@ def integrate_segments(fn, lo, hi, tol: float = 1e-12, min_depth: int = 2):
     for depth in range(min_depth, MAX_DEPTH + 1):
         if seg.size == 0:
             break
-        kronrod, error = _rule(fn, seg, left, half, n_seg)
-        ok = error <= thresh
+        kronrod, error, floor = _rule(fn, seg, left, half, n_seg)
+        ok = error <= np.maximum(thresh, floor)
         done = seg[ok]
         value += np.bincount(done, kronrod[ok], minlength=n_seg)
         estimate += np.bincount(done, error[ok], minlength=n_seg)
@@ -165,15 +171,19 @@ def _check_live(live: int, n_seg: int) -> None:
 
 
 def _rule(fn, seg, left, half, n_seg):
-    """The Kronrod value and |Kronrod - Gauss| of every interval
-    [left, left + 2*half].
+    """The Kronrod value, |Kronrod - Gauss| and rounding floor of every
+    interval [left, left + 2*half].
 
-    A block of EVAL_CHUNK intervals holds exactly 15 slices of nodes, so
-    only one block's nodes and values are alive at a time.
+    Intervals go a block at a time, so only one block's nodes and values
+    are alive; ``_eval`` slices each block's nodes into calls of exactly
+    EVAL_CHUNK points, the slicing it also applies to the segments' ends.
+    A block of EVAL_CHUNK intervals is 15 such calls with no short one,
+    so an expression integrand runs whole slices, as in its own runs.
     """
     centre = left + half
     kronrod = np.empty(seg.size)
     gauss = np.empty(seg.size)
+    resabs = np.empty(seg.size)
     for i in range(0, seg.size, EVAL_CHUNK):
         block = slice(i, i + EVAL_CHUNK)
         x = (centre[block, None] + half[block, None] * NODES).ravel()
@@ -182,7 +192,8 @@ def _rule(fn, seg, left, half, n_seg):
         # depend on its batch.
         kronrod[block] = half[block] * np.einsum("ij,j->i", f, KRONROD)
         gauss[block] = half[block] * np.einsum("ij,j->i", f[:, 1::2], GAUSS)
-    return kronrod, np.abs(kronrod - gauss)
+        resabs[block] = half[block] * np.einsum("ij,j->i", np.abs(f), KRONROD)
+    return kronrod, np.abs(kronrod - gauss), ROUNDING * np.finfo(float).eps * resabs
 
 
 def _where(seg: int, n_seg: int) -> str:

@@ -60,6 +60,19 @@ def test_verify_identity_quartic_anchor(capsys):
     assert res["passed"] is True
 
 
+@pytest.mark.parametrize("f", ["1.0324*sin(40*x)*exp(-x/4)", "exp(3*x)"])
+def test_verify_identity_below_the_rounding_of_its_integrals(capsys, f):
+    # The kernel side integrates a weighted third derivative whose absolute
+    # integral is about 1.7e3 and 1.8e4, so tol/10 = 1e-13 is below its
+    # rounding (eps times that is 4e-13 and 4e-12); the oracle meets the
+    # rounding floor instead of bisecting until it stops.
+    code, report, err = invoke_json(
+        capsys, "verify-identity", "--f", f, "--a", "4", "--b", "0", "--tol", "1e-12"
+    )
+    assert (code, err) == (0, "")
+    assert report["result"]["passed"] is True
+
+
 def test_verify_identity_degenerate_pair_is_usage_error(capsys):
     code, out, err = invoke(capsys, "verify-identity", "--f", "x", "--a", "1", "--b", "1")
     assert code == 2
@@ -325,7 +338,7 @@ def test_integrate_oracle_failure_is_reported(capsys):
         capsys, "integrate", "--f", "1/(x-0.3)", "--a", "1", "--b", "0",
         "--fixed-n", "2", "--with-true-error",
     )
-    message = "175660 intervals pending over 1 segment(s), above 131072"
+    message = "22360 interval(s) still above tolerance after depth 40"
     assert code == 1
     assert err == f"etaquad integrate: {message}\n"
     report = json.loads(out)

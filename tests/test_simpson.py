@@ -56,6 +56,17 @@ def test_tolerance_is_roughly_honoured():
         assert est <= 2.0 * tol
 
 
+def test_tolerance_below_rounding_meets_the_rounding_floor():
+    # eps * int|f| is 5.7e-12 for 1e4*sin(40x) on [0, 4], so 1e-12 is
+    # below the rounding of K - G; without the floor the intervals stay
+    # pending to MAX_DEPTH.
+    exact = 1e4 * (1.0 - math.cos(160.0)) / 40.0
+    size = 1e4 * (101.0 - math.cos(160.0 - 50.0 * math.pi)) / 40.0  # 50.9 half-periods
+    value, est = integrate(lambda x: 1e4 * np.sin(40.0 * x), 0.0, 4.0, tol=1e-12)
+    assert abs(value - exact) <= 1e-12 + 64 * np.finfo(float).eps * size
+    assert est <= 1e-12 + simpson.ROUNDING * np.finfo(float).eps * size
+
+
 def test_min_depth_forces_refinement():
     value, _ = integrate(lambda x: np.sin(2.0 * math.pi * x) + x, 0.0, 1.0)
     assert value == pytest.approx(0.5, abs=1e-11)
@@ -145,6 +156,24 @@ def test_max_live_counts_the_intervals_of_all_segments(monkeypatch):
         simpson.integrate_segments(fn, [0.0, 0.0], [2.0, 2.0], tol=1e-9)
 
 
+def test_max_live_counts_the_first_level_pieces(monkeypatch):
+    # At min_depth 2 a segment starts as 4 pieces: 2 segments fill a cap
+    # of 8, and 3 are refused before any node is evaluated.
+    monkeypatch.setattr(simpson, "MAX_LIVE", 8)
+    calls = []
+
+    def fn(x, seg):
+        calls.append(x.size)
+        return x * x
+
+    values, _ = simpson.integrate_segments(fn, [0.0, 0.0], [1.0, 3.0])
+    assert values == pytest.approx([1.0 / 3.0, 9.0], abs=1e-14)
+    calls.clear()
+    with pytest.raises(ConvergenceError, match=r"^12 intervals pending over 3 segment\(s\), above 8$"):
+        simpson.integrate_segments(fn, [0.0, 0.0, 0.0], [1.0, 2.0, 3.0])
+    assert calls == [6]  # the ends only
+
+
 def test_integrand_is_called_in_slices_of_at_most_eval_chunk_points():
     # 600 segments start as 2400 pieces: 36,000 nodes in the first level.
     sizes = []
@@ -172,11 +201,11 @@ def test_segment_bits_do_not_depend_on_a_batch_sliced_at_eval_chunk():
         assert _bits([values[k], estimates[k]]) == _bits(one)
 
 
-def test_pole_stops_at_the_live_cap_in_slices():
-    # Rounding keeps the intervals next to the pole above tolerance, so the
-    # pending intervals grow until the cap stops them; every call stays
-    # within one slice, and what the oracle allocates on the way (11 MB
-    # when measured) stays under 16 MB.
+def test_pole_is_refused_in_slices():
+    # The intervals next to the pole stay above tolerance to MAX_DEPTH
+    # (thousands of them, as the rounding of their nodes grows towards the
+    # pole); every call stays within one slice, and what the oracle
+    # allocates on the way stays under 16 MB.
     f = parse("1/(x-0.3)")
     sizes = []
 
@@ -186,7 +215,7 @@ def test_pole_stops_at_the_live_cap_in_slices():
 
     tracemalloc.start()
     try:
-        with pytest.raises(ConvergenceError, match="pending over 1 segment"):
+        with pytest.raises(ConvergenceError, match="still above tolerance after depth 40"):
             integrate(fn, 0.0, 1.0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
