@@ -32,21 +32,22 @@ from .expr import ParseError, parse
 from .harness import (
     CSV_COLUMNS,
     FAMILIES,
+    RATIO_SLACK,
     Instance,
     check_hh_classical,
     run_inequality_suite,
     tournament,
 )
-from .identity import PathSegment, verify_identity
-from .invex import ETA_SPELLINGS, Domain, eta_from_json
+from .identity import ABS_TOL, PathSegment, verify_identity
+from .invex import CHORD_TOL, DEFAULT_GRID, ETA_SPELLINGS, SET_TOL, Domain, EtaMapError, eta_from_json
 from .invex import check_invex_set, check_preinvex, check_prequasiinvex
-from .quadrature import BudgetError, integrate_certified, true_error
-from .simpson import ConvergenceError
+from .quadrature import MODES, BudgetError, integrate_certified, true_error
+from .simpson import TOL, ConvergenceError
 
 DEFAULT_TOLERANCES = {
-    "identity_abs": 1e-10,
-    "ratio_slack": 1e-9,
-    "oracle": 1e-12,
+    "identity_abs": ABS_TOL,
+    "ratio_slack": RATIO_SLACK,
+    "oracle": TOL,
 }
 
 
@@ -65,10 +66,14 @@ def _eta_obj(cfg: dict):
 
 
 def _segment(cfg: dict):
-    """The expression, the direction map and the path segment cfg names."""
+    """The expression and segment cfg names, and eta(b, a) or None if uncovered."""
     emap = _eta_obj(cfg)
     f = parse(cfg["function"])
-    return f, emap, PathSegment.from_eta(emap, cfg["a"], cfg["b"])
+    try:
+        eta_ba = float(emap(cfg["b"], cfg["a"]))
+    except EtaMapError:
+        eta_ba = None
+    return f, PathSegment.from_eta(emap, cfg["a"], cfg["b"]), eta_ba
 
 
 # One line of JSON from the C encoder; NaN and inf raise ValueError.
@@ -204,20 +209,20 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 def _cmd_verify_identity(cfg):
-    f, emap, seg = _segment(cfg)
+    f, seg, eta_ba = _segment(cfg)
     rep = verify_identity(f, seg, tol=cfg["tol"])
     result = rep.to_json()
     result["eta_ab"] = seg.h
-    result["eta_ba"] = float(emap(cfg["b"], cfg["a"]))
+    result["eta_ba"] = eta_ba
     return result, rep.passed, None
 
 
 def _cmd_bound(cfg):
-    f, emap, seg = _segment(cfg)
+    f, seg, eta_ba = _segment(cfg)
     spec = BoundSpec(cfg["theorem"], cfg["q"])
     data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
     result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
-    result.update(h=seg.h, eta_ba=float(emap(cfg["b"], cfg["a"])), a3=data.a3, b3=data.b3)
+    result.update(h=seg.h, eta_ba=eta_ba, a3=data.a3, b3=data.b3)
     return result, True, None
 
 
@@ -225,7 +230,7 @@ def _cmd_check_hypothesis(cfg):
     emap = _eta_obj(cfg)
     dom = Domain(*cfg["dom"])
     if cfg["tol"] is None:
-        cfg["tol"] = 1e-12 if cfg["check"] == "invex-set" else DEFAULT_TOLERANCES["ratio_slack"]
+        cfg["tol"] = SET_TOL if cfg["check"] == "invex-set" else CHORD_TOL
     if cfg["check"] == "invex-set":
         sample = Domain(*cfg["sample"]) if cfg["sample"] else None
         rep = check_invex_set(emap, dom, grid_n=cfg["grid"], sample=sample, tol=cfg["tol"])
@@ -238,7 +243,7 @@ def _cmd_check_hypothesis(cfg):
 
 
 def _cmd_integrate(cfg):
-    f, _, seg = _segment(cfg)
+    f, seg, _ = _segment(cfg)
     if cfg["target"] is None and cfg["fixed-n"] is None:
         cfg["fixed-n"] = 64
     try:
@@ -247,7 +252,7 @@ def _cmd_integrate(cfg):
         )
         result = result_obj.to_json()
         if cfg["with-true-error"]:
-            result["true_error"] = true_error(f, result_obj, tol=DEFAULT_TOLERANCES["oracle"])
+            result["true_error"] = true_error(f, result_obj)
     except (BudgetError, ConvergenceError) as exc:
         print(f"etaquad integrate: {exc}", file=sys.stderr)
         return {"error": str(exc)}, False, None
@@ -278,7 +283,7 @@ def _cmd_tournament(cfg):
 
 def _cmd_hh_classical(cfg):
     f = parse(cfg["function"])
-    rep = check_hh_classical(f, cfg["a"], cfg["b"], grid_n=cfg["grid"], tol=cfg["tol"])
+    rep = check_hh_classical(f, cfg["a"], cfg["b"], tol=cfg["tol"])
     return rep.to_json(), rep.passed, None
 
 
@@ -300,7 +305,7 @@ OPTIONS = {
                       "help": "domain interval"}),
     "sample": ("--sample", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
                             "help": "endpoint sampling box (invex-set only)"}),
-    "mode": ("--mode", {"choices": ("hypothesis", "sup"),
+    "mode": ("--mode", {"choices": MODES,
                         "help": "certificate mode: hypothesis (|f'''| preinvex, from the "
                                 "endpoints) or sup (an interval enclosure of f''')"}),
     "target": ("--target", {"type": float, "help": "adaptive certificate target"}),
@@ -316,7 +321,7 @@ OPTIONS = {
     "trials": ("--trials", {"type": int, "help": "instance count"}),
     "seed": ("--seed", {"type": int, "help": "campaign seed"}),
     "q-grid": ("--q-grid", {"help": "comma list of q values"}),
-    "grid": ("--grid", {"type": int, "help": "grid points; hh-classical: oracle refinement"}),
+    "grid": ("--grid", {"type": int, "help": "grid points per axis of the sampled checks"}),
     "tol": ("--tol", {"type": tolerance, "help": "comparison tolerance"}),
     "config": ("--config", {"help": "JSON config file; flags override its values"}),
     "out": ("--out", {"help": "write the report here instead of stdout"}),
@@ -331,7 +336,7 @@ _OUTPUT = {"format": "json", "out": None}
 COMMANDS = {
     "verify-identity": (
         _cmd_verify_identity, "check both sides of the remainder identity",
-        {**_SEGMENT, "tol": DEFAULT_TOLERANCES["identity_abs"], **_OUTPUT},
+        {**_SEGMENT, "tol": ABS_TOL, **_OUTPUT},
     ),
     "bound": (
         _cmd_bound, "evaluate one closed-form remainder bound",
@@ -339,28 +344,27 @@ COMMANDS = {
     ),
     "check-hypothesis": (
         _cmd_check_hypothesis, "grid-sampled invexity/chord checks",
-        # tol: the handler picks 1e-12 for invex-set, else the ratio slack.
+        # tol: the handler picks SET_TOL for invex-set, else CHORD_TOL.
         {"check": REQUIRED, "function": None, "eta": "difference", "dom": REQUIRED,
-         "sample": None, "grid": 65, "tol": None, **_OUTPUT},
+         "sample": None, "grid": DEFAULT_GRID, "tol": None, **_OUTPUT},
     ),
     "integrate": (
         _cmd_integrate, "composite corrected-trapezoid with certificate",
-        {**_SEGMENT, "mode": "hypothesis", "target": None, "fixed-n": None,
+        {**_SEGMENT, "mode": MODES[0], "target": None, "fixed-n": None,
          "with-true-error": None, **_OUTPUT},
     ),
     "suite": (
         _cmd_suite, "seeded inequality campaign over a family",
         {"family": "poly6", "theorems": ",".join(THEOREM_ORDER), "q": 2.0, "trials": 100,
-         "seed": 0, "grid": 65, **_OUTPUT},
+         "seed": 0, "grid": DEFAULT_GRID, **_OUTPUT},
     ),
     "tournament": (
         _cmd_tournament, "compare all six bounds across a q grid",
-        {**_SEGMENT, "q-grid": "1,2,4", "grid": 65, **_OUTPUT},
+        {**_SEGMENT, "q-grid": "1,2,4", "grid": DEFAULT_GRID, **_OUTPUT},
     ),
     "hh-classical": (
         _cmd_hh_classical, "midpoint/mean/endpoint chain for f on [a, b]",
-        {"function": REQUIRED, "a": REQUIRED, "b": REQUIRED, "grid": 65,
-         "tol": DEFAULT_TOLERANCES["ratio_slack"], **_OUTPUT},
+        {"function": REQUIRED, "a": REQUIRED, "b": REQUIRED, "tol": CHORD_TOL, **_OUTPUT},
     ),
 }
 

@@ -31,11 +31,11 @@ from . import simpson
 from .bounds import THEOREM_ORDER, BoundSpec, DerivativeData, bound, scalar_pow
 from .expr import Expression, parse
 from .identity import PathSegment, corrected_trapezoid
-from .invex import DifferenceMap, EtaMap, HypothesisReport, chord_slack, path_grid
+from .invex import CHORD_TOL, DEFAULT_GRID, DifferenceMap, EtaMap, HypothesisReport
+from .invex import chord_slack, path_grid
 
 __all__ = [
     "RATIO_SLACK",
-    "GATE_TOL",
     "Family",
     "FAMILIES",
     "Instance",
@@ -47,7 +47,6 @@ __all__ = [
 ]
 
 RATIO_SLACK = 1e-9   # ratio > 1 + this counts as a violation
-GATE_TOL = 1e-9      # normalised slack allowed by the hypothesis gate
 LHS_TOL = 1e-11      # absolute tolerance of the remainder's quadrature
 ZERO_LHS_TOL = 1e-10  # |remainder| under this with a zero bound is a clean 0/0
 
@@ -186,10 +185,11 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
 
     ``a``, ``b`` and ``h`` are arrays with one entry per segment (floats
     are a batch of one), and f's parameters bind to ``params``, arrays with
-    one entry per segment.  A = |f'''(a)| and B = |f'''(b)| come from the
-    path grid's jet run.  The gate is the sampled hypothesis along the
-    path, in the power form the bound assumes (``hypothesis_q``): chord
-    (preinvex) or endpoint max (prequasiinvex).
+    one entry per segment.  A = |f'''(a)| comes from the path grid's jet
+    run, and B = |f'''(b)| is its t = 0 column, x = b exactly.  The gate is
+    the sampled hypothesis along the path, in the power form the bound
+    assumes (``hypothesis_q``): chord (preinvex) or endpoint max
+    (prequasiinvex).
     """
     t = path_grid(grid_n)
     q_value = corrected_trapezoid(f, PathSegment(b=b, h=h), **params)
@@ -202,10 +202,10 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
     def column(v):
         return np.reshape(v, (-1, 1))
 
-    x = np.hstack((column(b) + t * column(h), column(a), column(b)))
+    x = np.hstack((column(b) + t * column(h), column(a)))
     d3 = np.abs(f.jet3(x, **{k: column(v) for k, v in params.items()}).d3)
-    data = DerivativeData(d3[:, -2], d3[:, -1])
-    d3 = d3[:, :-2]
+    data = DerivativeData(d3[:, -1], d3[:, 0])
+    d3 = d3[:, :-1]
     lhs_abs = np.abs(lhs)
     gates = {}  # specs with one hypothesis and one exponent share their gate
     out = []
@@ -216,7 +216,7 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
         if key not in gates:
             fb, fa = (column(scalar_pow(e, q)) for e in (data.b3, data.a3))
             slack = chord_slack(d3 ** q, fb, fa, t, spec.hypothesis == "prequasiinvex")
-            gates[key] = np.max(slack, axis=1) <= GATE_TOL
+            gates[key] = np.max(slack, axis=1) <= CHORD_TOL
         out.append((bnd, _safe_ratio(lhs_abs, bnd), gates[key]))
     return lhs, out
 
@@ -243,7 +243,7 @@ def run_inequality_suite(
     specs: list[BoundSpec],
     trials: int,
     seed: int,
-    grid_n: int = 65,
+    grid_n: int = DEFAULT_GRID,
 ) -> CampaignReport:
     """Draw ``trials`` instances and hold each against every spec.
 
@@ -297,7 +297,7 @@ def run_inequality_suite(
     return CampaignReport(trials=len(rows), **_tally(gated), argmax=argmax, table=table, rows=rows)
 
 
-def tournament(instance: Instance, q_grid: list[float], grid_n: int = 65) -> list[dict]:
+def tournament(instance: Instance, q_grid: list[float], grid_n: int = DEFAULT_GRID) -> list[dict]:
     """All six bound variants per q, with the minimiser marked.
 
     Rows also carry the sampled hypothesis verdicts so a winning bound can
@@ -344,7 +344,7 @@ def sharpness_search(
     family,
     iterations: int = 300,
     seed: int = 0,
-    grid_n: int = 65,
+    grid_n: int = DEFAULT_GRID,
 ) -> tuple[Instance | None, float]:
     """Coordinate-ascent search for the largest hypothesis-passing ratio.
 
@@ -406,23 +406,21 @@ def sharpness_search(
     return Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec), best_ratio
 
 
-def check_hh_classical(f, a: float, b: float, grid_n: int = 65, tol: float = 1e-9) -> HypothesisReport:
-    """Sampled midpoint / mean / endpoint-average chain for f on [a, b].
+def check_hh_classical(f, a: float, b: float, tol: float = CHORD_TOL) -> HypothesisReport:
+    """Midpoint / mean / endpoint-average chain for f on [a, b].
 
     For convex f the chain f((a+b)/2) <= mean <= (f(a)+f(b))/2 holds; this
-    evaluates both comparisons with an adaptive-quadrature mean.  ``grid_n``
-    sets the oracle's minimum depth: it starts from the least power of
-    two, at least 4, at or above grid_n - 1 equal pieces.  checked counts the two
-    comparisons; the witness marks the failing side with t = 0.5 (midpoint
-    side) or t = 1.0 (endpoint side).
+    evaluates both comparisons with the adaptive oracle's mean, at its
+    tolerance scaled by max(1, |f(a)| + |f(b)|) * (b - a).  checked counts
+    the two comparisons; the witness marks the failing side with t = 0.5
+    (midpoint side) or t = 1.0 (endpoint side).
     """
     if not a < b:
         raise ValueError("needs a < b")
     fn = f.value if hasattr(f, "value") else f
     fa, mid, fb = map(float, fn(np.array([a, 0.5 * (a + b), b])))
-    min_depth = max(2, int(math.ceil(math.log2(max(2, grid_n - 1)))))
-    oracle_tol = 1e-12 * max(1.0, abs(fa) + abs(fb)) * (b - a)
-    integral, _ = simpson.integrate(fn, a, b, tol=oracle_tol, min_depth=min_depth)
+    oracle_tol = simpson.TOL * max(1.0, abs(fa) + abs(fb)) * (b - a)
+    integral, _ = simpson.integrate(fn, a, b, tol=oracle_tol)
     mean = integral / (b - a)
     right = 0.5 * (fa + fb)
     scale = max(1.0, abs(mid), abs(mean), abs(right))

@@ -31,6 +31,7 @@ __all__ = [
     "verify_identity",
 ]
 
+ABS_TOL = 1e-10  # absolute part of the identity comparison
 REL_TOL = 1e-9  # relative part of the identity comparison
 
 
@@ -43,14 +44,11 @@ def kernel_weight(t):
 class PathSegment:
     """Oriented segment from ``b`` to ``b + h`` with nonzero displacement.
 
-    ``a`` records the endpoint argument that produced ``h`` through a
-    direction map, for reporting; it is not used in any computation.
     ``b`` and ``h`` may also be arrays, one entry per segment of a batch.
     """
 
     b: float
     h: float
-    a: float | None = None
 
     def __post_init__(self):
         if not np.isfinite(self.h).all() or (np.asarray(self.h) == 0.0).any():
@@ -60,7 +58,7 @@ class PathSegment:
 
     @classmethod
     def from_eta(cls, emap: EtaMap, a: float, b: float) -> "PathSegment":
-        return cls(b=float(b), h=float(emap(a, b)), a=float(a))
+        return cls(b=float(b), h=float(emap(a, b)))
 
     @property
     def end(self) -> float:
@@ -97,13 +95,13 @@ def _weighted_third(f, seg: PathSegment):
     return integrand
 
 
-def kernel_integral(f, seg: PathSegment, tol: float = 1e-12) -> float:
+def kernel_integral(f, seg: PathSegment) -> float:
     """integral_0^1 w(t) f'''(b + t h) dt by adaptive quadrature."""
-    value, _ = simpson.integrate(_weighted_third(f, seg), 0.0, 1.0, tol=tol)
+    value, _ = simpson.integrate(_weighted_third(f, seg), 0.0, 1.0)
     return value
 
 
-def verify_identity(f, seg: PathSegment, tol: float = 1e-10) -> IdentityReport:
+def verify_identity(f, seg: PathSegment, tol: float = ABS_TOL) -> IdentityReport:
     """Evaluate both sides of the remainder identity and compare.
 
     Passes when |lhs - rhs| <= max(tol, REL_TOL * max(|lhs|, |rhs|)).  Both

@@ -8,8 +8,8 @@ and prequasiinvex when it lies under max(f(u), f(v)).
 
 The checks here sample (u, v, t) on uniform grids and report the worst
 normalised slack together with a witness triple when the property fails.
-They sweep the grid one u row at a time, so memory grows with the square
-of the grid size, not its cube.
+They sweep the grid in blocks of at most ``expr.EVAL_CHUNK`` points, each
+a slice of one u row; only the (u, v) directions grow with the grid.
 Grid sampling refutes but never proves; a pass means "no counterexample on
 this grid", which is exactly what the harness needs for gating.
 """
@@ -22,7 +22,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .expr import DomainError
+from . import expr
 
 __all__ = [
     "EtaMapError",
@@ -42,6 +42,9 @@ __all__ = [
 ]
 
 ETA_SPELLINGS = "difference | paper_piecewise | scaled:<lam> | JSON object"
+DEFAULT_GRID = 65  # grid points of a check, and of the harness's path gate
+SET_TOL = 1e-12    # absolute slack allowed by check_invex_set
+CHORD_TOL = 1e-9   # normalised slack allowed by the chord checks
 # The largest grid a check samples.  The invex checks cost grid_n**3: the
 # preinvex check of -abs(x) under paper_piecewise takes about 6 s at 513
 # points on one Xeon core, and each doubling of the grid costs 8 times more.
@@ -254,28 +257,31 @@ def _directions(emap: EtaMap, u: np.ndarray) -> np.ndarray:
     return emap(u[None, :, None], u[:, None, None])
 
 
-def _verdict(slack_row, u: np.ndarray, t: np.ndarray, tol: float) -> HypothesisReport:
-    """The worst of the slacks ``slack_row(i)`` (indexed [v, t]) over every
-    u row i, and the first (u, v, t) attaining it in C order.  A NaN slack
-    is the worst and fails."""
-    row_worst = np.array([np.max(slack_row(i)) for i in range(u.size)])
-    worst = float(np.max(row_worst))
+def _verdict(slack, u: np.ndarray, t: np.ndarray, tol: float) -> HypothesisReport:
+    """The worst slack(i, vs) (indexed [v, t]) over u rows i and v slices
+    vs, and the first (u, v, t) attaining it in C order; a NaN slack is the
+    worst and fails.  The blocks, EVAL_CHUNK // t.size v values (at least
+    one) each, run in C order, and none is big enough to be mmap'd afresh."""
+    n_v = max(1, expr.EVAL_CHUNK // t.size)
+    blocks = [(i, slice(j, j + n_v)) for i in range(u.size) for j in range(0, u.size, n_v)]
+    block_worst = np.array([np.max(slack(i, vs)) for i, vs in blocks])
+    worst = float(np.max(block_worst))
     passed = worst <= tol
     witness = None
     if not passed:
-        i = int(np.argmax(row_worst))
-        row = slack_row(i)
-        j, k = np.unravel_index(int(np.argmax(row)), row.shape)
-        witness = (float(u[i]), float(u[j]), float(t[k]))
+        i, vs = blocks[int(np.argmax(block_worst))]
+        values = slack(i, vs)
+        j, k = np.unravel_index(int(np.argmax(values)), values.shape)
+        witness = (float(u[i]), float(u[vs][j]), float(t[k]))
     return HypothesisReport(passed, u.size * u.size * t.size, worst, witness)
 
 
 def check_invex_set(
     emap: EtaMap,
     dom: Domain,
-    grid_n: int = 65,
+    grid_n: int = DEFAULT_GRID,
     sample: Domain | None = None,
-    tol: float = 1e-12,
+    tol: float = SET_TOL,
 ) -> HypothesisReport:
     """Does every sampled path u -> v stay inside ``dom``?
 
@@ -287,20 +293,20 @@ def check_invex_set(
     t, u = path_grid(grid_n), box.grid(grid_n)
     eta = _directions(emap, u)
 
-    def slack_row(i):
-        points = u[i] + t * eta[i]
+    def slack(i, vs):
+        points = u[i] + t * eta[i, vs]
         return np.maximum(np.maximum(dom.lo - points, points - dom.hi), 0.0)
 
-    return _verdict(slack_row, u, t, tol)
+    return _verdict(slack, u, t, tol)
 
 
 def _sample(f, x: np.ndarray) -> np.ndarray:
-    """f (an Expression or a plain callable) at x; DomainError names the
-    first x whose value is not finite."""
-    y = np.broadcast_to(f.value(x) if hasattr(f, "value") else f(x), x.shape)
-    bad = ~np.isfinite(y)
-    if bad.any():
-        raise DomainError(f"f is {y[bad][0]} at x = {float(x[bad][0])!r}")
+    """f (an Expression, whose values have x's shape, or a plain callable)
+    at x; DomainError names the first x whose value is not finite."""
+    y = f.value(x) if hasattr(f, "value") else np.broadcast_to(f(x), x.shape)
+    if not np.isfinite(y).all():
+        bad = ~np.isfinite(y)
+        raise expr.DomainError(f"f is {y[bad][0]} at x = {float(x[bad][0])!r}")
     return y
 
 
@@ -320,21 +326,21 @@ def _chord_check(f, emap, dom, grid_n, tol, quasi: bool) -> HypothesisReport:
     fu = _sample(f, u)
     eta = _directions(emap, u)
 
-    def slack_row(i):
-        return chord_slack(_sample(f, u[i] + t * eta[i]), fu[i], fu[:, None], t, quasi)
+    def slack(i, vs):
+        return chord_slack(_sample(f, u[i] + t * eta[i, vs]), fu[i], fu[vs, None], t, quasi)
 
-    return _verdict(slack_row, u, t, tol)
+    return _verdict(slack, u, t, tol)
 
 
 def check_preinvex(
-    f, emap: EtaMap, dom: Domain, grid_n: int = 65, tol: float = 1e-9
+    f, emap: EtaMap, dom: Domain, grid_n: int = DEFAULT_GRID, tol: float = CHORD_TOL
 ) -> HypothesisReport:
     """Sampled chord test f(u + t*eta(v,u)) <= (1-t)f(u) + t*f(v)."""
     return _chord_check(f, emap, dom, grid_n, tol, quasi=False)
 
 
 def check_prequasiinvex(
-    f, emap: EtaMap, dom: Domain, grid_n: int = 65, tol: float = 1e-9
+    f, emap: EtaMap, dom: Domain, grid_n: int = DEFAULT_GRID, tol: float = CHORD_TOL
 ) -> HypothesisReport:
     """Sampled test f(u + t*eta(v,u)) <= max(f(u), f(v))."""
     return _chord_check(f, emap, dom, grid_n, tol, quasi=True)

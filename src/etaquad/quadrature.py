@@ -38,7 +38,7 @@ __all__ = [
     "true_error",
 ]
 
-MODES = ("hypothesis", "sup")
+MODES = ("hypothesis", "sup")  # the first is integrate_certified's default
 DEFAULT_BUDGET = 1 << 20
 # The partition's columns, as CertifiedResult holds them and its JSON names them.
 PARTITION_COLUMNS = ("left", "right", "local_value", "local_bound")
@@ -109,7 +109,7 @@ def _local(f, left, right, jets_left, jets_right, mode: str, bisect: bool):
 def integrate_certified(
     f,
     seg: PathSegment,
-    mode: str = "hypothesis",
+    mode: str = MODES[0],
     target: float | None = None,
     fixed_n: int | None = None,
 ) -> CertifiedResult:
@@ -171,9 +171,9 @@ def integrate_certified(
     return CertifiedResult(value, certificate, mode, *columns, seg)
 
 
-def true_error(f, result: CertifiedResult, tol: float = 1e-12) -> float:
+def true_error(f, result: CertifiedResult) -> float:
     """|oracle integral - certified value| via the adaptive Gauss–Kronrod
-    oracle (``simpson.integrate``)."""
+    oracle (``simpson.integrate``) at its default tolerance."""
     seg = result.segment
-    oracle, _ = simpson.integrate(f.value, seg.b, seg.end, tol=tol)
+    oracle, _ = simpson.integrate(f.value, seg.b, seg.end)
     return abs(oracle - result.value)

@@ -16,7 +16,7 @@ integrand however many segments there are.  The call is made in slices of
 integrand may be any callable (a kernel, or a gather of per-segment
 parameters); the nodes are built a block of intervals at a time.  Each
 interval carries the index of its segment.  A segment starts as
-``2**min_depth`` equal pieces, and every interval pending at a level has
+``2**MIN_DEPTH`` equal pieces, and every interval pending at a level has
 been split as often as every other, so they share one acceptance
 threshold: tol at the whole segment, halved at each next level, which is
 tol*(width/total) to the bit.  An interval is also accepted when |K - G|
@@ -46,6 +46,8 @@ from .expr import EVAL_CHUNK
 
 __all__ = ["ConvergenceError", "integrate", "integrate_segments"]
 
+TOL = 1e-12  # the oracle's default absolute tolerance
+MIN_DEPTH = 2  # 2**MIN_DEPTH first pieces guard against a spuriously small |K - G|
 MAX_DEPTH = 40
 MAX_LIVE = 1 << 20
 ROUNDING = 50.0  # QUADPACK's factor on eps*resabs in qk15's error
@@ -91,28 +93,20 @@ class ConvergenceError(RuntimeError):
     """Tolerance not reached, or not reachable within the work caps."""
 
 
-def integrate(
-    fn,
-    lo: float,
-    hi: float,
-    tol: float = 1e-12,
-    min_depth: int = 2,
-) -> tuple[float, float]:
+def integrate(fn, lo: float, hi: float, tol: float = TOL) -> tuple[float, float]:
     """Signed integral of ``fn`` over [lo, hi] by adaptive G7–K15.
 
     Returns ``(value, error_estimate)``: the sum of the accepted Kronrod
     values, and the sum of their |Kronrod - Gauss| differences, which is
     at most ``tol`` plus about ROUNDING*eps*int|f|.  The closed interval's
     ends are evaluated once, and a non-finite value there or at any node
-    raises ConvergenceError.  ``min_depth`` starts the interval as
-    ``2**min_depth`` equal pieces, which guards against a spuriously small
-    difference on a periodic or symmetric integrand.
+    raises ConvergenceError.
     """
-    value, estimate = integrate_segments(lambda x, seg: fn(x), lo, hi, tol, min_depth)
+    value, estimate = integrate_segments(lambda x, seg: fn(x), lo, hi, tol)
     return float(value[0]), float(estimate[0])
 
 
-def integrate_segments(fn, lo, hi, tol: float = 1e-12, min_depth: int = 2):
+def integrate_segments(fn, lo, hi, tol: float = TOL):
     """Signed integrals over [lo[k], hi[k]] for every segment k (floats
     for one segment), each to the absolute tolerance ``tol``.
 
@@ -130,7 +124,7 @@ def integrate_segments(fn, lo, hi, tol: float = 1e-12, min_depth: int = 2):
 
     seg = np.flatnonzero(lo != hi)  # an empty segment integrates to 0
     _eval(fn, np.concatenate([lo[seg], hi[seg]]), np.concatenate([seg, seg]), n_seg)
-    pieces = 1 << min_depth
+    pieces = 1 << MIN_DEPTH
     _check_live(seg.size * pieces, n_seg)
     width = hi[seg] - lo[seg]
     part = np.repeat(np.arange(pieces) / pieces, seg.size)
@@ -139,7 +133,7 @@ def integrate_segments(fn, lo, hi, tol: float = 1e-12, min_depth: int = 2):
     seg = np.tile(seg, pieces)
     thresh = tol / pieces
 
-    for depth in range(min_depth, MAX_DEPTH + 1):
+    for depth in range(MIN_DEPTH, MAX_DEPTH + 1):
         if seg.size == 0:
             break
         kronrod, error, floor = _rule(fn, seg, left, half, n_seg)

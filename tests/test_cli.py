@@ -73,6 +73,21 @@ def test_verify_identity_below_the_rounding_of_its_integrals(capsys, f):
     assert report["result"]["passed"] is True
 
 
+# Covers (u, v) = (b, a) = (0, 1), the path's pair, but not the reverse (1, 0).
+FORWARD_ONLY_TABLE = json.dumps({"kind": "table", "pieces": [
+    {"u_lo": -0.5, "u_hi": 0.5, "v_lo": 0.5, "v_hi": 1.5, "c0": 0, "cu": -1, "cv": 1}]})
+
+
+@pytest.mark.parametrize("command", [("verify-identity",), ("bound", "--theorem", "T2.1")])
+def test_table_map_that_covers_only_the_path(capsys, command):
+    code, report, err = invoke_json(
+        capsys, *command, "--f", "exp(x)", "--a", "1", "--b", "0", "--eta", FORWARD_ONLY_TABLE
+    )
+    assert (code, err) == (0, "")
+    assert report["result"]["eta_ba"] is None
+    assert report["result"]["eta_ab" if command[0] == "verify-identity" else "h"] == 1.0
+
+
 def test_verify_identity_degenerate_pair_is_usage_error(capsys):
     code, out, err = invoke(capsys, "verify-identity", "--f", "x", "--a", "1", "--b", "1")
     assert code == 2
@@ -443,6 +458,7 @@ def test_suite_unknown_family(capsys):
         (("bound", "--f", "x", "--a", "1", "--b", "0", "--theorem", "T2.1"),
          '{"a":' * 100000, "cannot read config file: maximum recursion depth"),
         (("suite", "--trials", "0", "--grid", "1"), None, "got 1"),
+        (("hh-classical", "--f", "x*x", "--a", "0", "--b", "1"), {"grid": 9}, "'grid'"),
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):
@@ -555,6 +571,14 @@ def test_hh_classical_scalar_overflow_is_usage_error(capsys):
     assert err == "etaquad hh-classical: integrand is inf at x = 10.0\n"
 
 
+def test_hh_classical_takes_no_grid(capsys):
+    # The chain samples no grid, so neither the flag nor the key exists.
+    with pytest.raises(SystemExit) as exc:
+        run(["hh-classical", "--f", "x*x", "--a", "0", "--b", "1", "--grid", "9"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --grid 9\n")
+
+
 def test_hh_classical_exit_codes(capsys):
     code, report, _ = invoke_json(capsys, "hh-classical", "--f", "pow(x,2)", "--a", "0", "--b", "2")
     assert code == 0
@@ -591,7 +615,7 @@ EVERY_COMMAND = [
     ("integrate", "--f", "sin(x)", "--a", "2", "--b", "0", "--with-true-error"),
     ("suite", "--family", "mixed", "--trials", "4", "--seed", "3", "--grid", "9"),
     ("tournament", "--f", "exp(2*x)", "--a", "1", "--b", "0"),
-    ("hh-classical", "--f", "exp(x)", "--a", "0", "--b", "1", "--grid", "9"),
+    ("hh-classical", "--f", "exp(x)", "--a", "0", "--b", "1"),
 ]
 
 
@@ -663,7 +687,7 @@ CSV_SHAPE = {
     "integrate": ("key,value", 278),
     "suite": (",".join(CSV_COLUMNS), 25),
     "tournament": ("key,value", 51),
-    "hh-classical": ("key,value", 18),
+    "hh-classical": ("key,value", 17),
 }
 
 

@@ -285,3 +285,43 @@ def test_nan_slack_fails_at_its_first_grid_triple():
     assert not rep.passed
     assert math.isnan(rep.worst_slack)
     assert rep.witness == (u[i], u[j], t[k])
+
+
+def _block_cases():
+    """Passing and failing checks at grid 17, and a refusal.  At an
+    EVAL_CHUNK of 64 a u row runs as v blocks of 3, 3, 3, 3, 3 and 2
+    values, and the two failing chord checks have their witness at v index
+    16 and 15, in that last partial block; at 7 each block is one v value."""
+    grid = {"grid_n": 17}
+    return [
+        (check_preinvex, (parse("sin(3*x)"), DifferenceMap(), Domain(-1.5, 1.0)), grid),
+        (check_preinvex, (parse("exp(x) - 2*x"), PiecewiseSignMap(), Domain(-1.5, 1.0)), grid),
+        (check_preinvex, (parse("x*x"), DifferenceMap(), Domain(-2.0, 2.0)), grid),
+        (check_prequasiinvex, (parse("-abs(x)"), PiecewiseSignMap(), Domain(-2.0, 2.0)), grid),
+        (check_prequasiinvex, (parse("sin(3*x)"), DifferenceMap(), Domain(-1.5, 1.0)), grid),
+        (check_invex_set, (ScaledMap(3.0), Domain(0.0, 1.0)), grid),
+        (check_invex_set, (ScaledMap(0.5), Domain(0.0, 1.0)), grid),
+        (check_invex_set, (ScaledMap(1e308), Domain(-10.0, 10.0)), {"grid_n": 5}),
+        (check_preinvex, (lambda u: np.where(u == 0.1875, np.inf, u), DifferenceMap(),
+                          Domain(0.0, 1.0)), {"grid_n": 5}),
+    ]
+
+
+def _outcome(check, args, kwargs):
+    try:
+        with np.errstate(all="ignore"):
+            return repr(check(*args, **kwargs))
+    except DomainError as exc:
+        return f"DomainError: {exc}"
+
+
+@pytest.mark.parametrize("chunk", [7, 64, 2**30])
+def test_block_size_does_not_change_any_report(monkeypatch, chunk):
+    from etaquad import expr
+
+    cases = _block_cases()
+    expected = [_outcome(*case) for case in cases]
+    assert expected[0].endswith("witness=(-0.40625, 1.0, 0.625))")  # v = u[16]
+    assert expected[1].endswith("witness=(-1.5, 0.84375, 1.0))")  # v = u[15]
+    monkeypatch.setattr(expr, "EVAL_CHUNK", chunk)
+    assert [_outcome(*case) for case in cases] == expected

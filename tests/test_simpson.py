@@ -67,7 +67,7 @@ def test_tolerance_below_rounding_meets_the_rounding_floor():
     assert est <= 1e-12 + simpson.ROUNDING * np.finfo(float).eps * size
 
 
-def test_min_depth_forces_refinement():
+def test_min_depth_forces_refinement(monkeypatch):
     value, _ = integrate(lambda x: np.sin(2.0 * math.pi * x) + x, 0.0, 1.0)
     assert value == pytest.approx(0.5, abs=1e-11)
     # A degree-30 polynomial that vanishes at the 15 nodes of [0, 1] is zero
@@ -80,7 +80,9 @@ def test_min_depth_forces_refinement():
     def vanishing(x):
         return scale * np.prod((np.reshape(x, (-1, 1)) - nodes) ** 2, axis=1)
 
-    assert integrate(vanishing, 0.0, 1.0, min_depth=0) == (0.0, 0.0)
+    monkeypatch.setattr(simpson, "MIN_DEPTH", 0)
+    assert integrate(vanishing, 0.0, 1.0) == (0.0, 0.0)
+    monkeypatch.undo()
     value, _ = integrate(vanishing, 0.0, 1.0)
     assert value == pytest.approx(1.0, abs=1e-11)
 
@@ -123,18 +125,19 @@ def _bits(values) -> bytes:
     return np.asarray(values, dtype=float).tobytes()
 
 
-def test_segments_equal_one_segment_calls_bit_for_bit():
+def test_segments_equal_one_segment_calls_bit_for_bit(monkeypatch):
     # Segment k integrates c[k]*sin(w[k]*x) + x over [lo[k], hi[k]]; reversed
     # and empty segments included.
     c = np.array([1.0, -2.5, 0.3, 4.0, 1.0, -1.0])
     w = np.array([1.0, 7.0, 0.2, 3.0, 2.0, 11.0])
     lo = np.array([0.0, 1.0, -2.0, 0.5, 0.7, -1.0])
     hi = np.array([1.0, -1.0, 2.0, 0.5, 2.0, 0.3])
+    monkeypatch.setattr(simpson, "MIN_DEPTH", 3)
     values, estimates = simpson.integrate_segments(
-        lambda x, seg: c[seg] * np.sin(w[seg] * x) + x, lo, hi, 1e-11, min_depth=3
+        lambda x, seg: c[seg] * np.sin(w[seg] * x) + x, lo, hi, 1e-11
     )
     for k in range(lo.size):
-        one = integrate(lambda x: c[k] * np.sin(w[k] * x) + x, lo[k], hi[k], 1e-11, min_depth=3)
+        one = integrate(lambda x: c[k] * np.sin(w[k] * x) + x, lo[k], hi[k], 1e-11)
         assert _bits([values[k], estimates[k]]) == _bits(one)
     assert values[3] == 0.0 and estimates[3] == 0.0
 
