@@ -20,7 +20,7 @@ print(" n      value            certificate    actual error")
 certs = []
 ns = [8, 16, 32, 64, 128, 256]
 for n in ns:
-    res = integrate_certified(f, seg, fixed_n=n)
+    res = integrate_certified(f, seg, fixed_n=n, mode="hypothesis")
     err = abs(true_error(f, res))
     certs.append(res.certificate)
     print(f"{n:>4}  {res.value:.12f}  {res.certificate:.3e}      {err:.3e}")
@@ -30,7 +30,7 @@ print(f"\ncertificate slope: {slope:.4f}  (n^-3 expected)")
 
 # adaptive mode bisects every subinterval whose bound exceeds its width's
 # share of the target, one level at a time
-res = integrate_certified(f, seg, target=1e-9)
+res = integrate_certified(f, seg, target=1e-9, mode="hypothesis")
 print(f"\nadaptive: n={res.n}, certificate={res.certificate:.3e}")
 widths = np.sort(np.abs(res.right - res.left))
 print(f"widths range from {widths[0]:.4f} to {widths[-1]:.4f}")

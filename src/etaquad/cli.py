@@ -306,8 +306,8 @@ OPTIONS = {
     "sample": ("--sample", {"type": float, "nargs": 2, "metavar": ("LO", "HI"),
                             "help": "endpoint sampling box (invex-set only)"}),
     "mode": ("--mode", {"choices": MODES,
-                        "help": "certificate mode: hypothesis (|f'''| preinvex, from the "
-                                "endpoints) or sup (an interval enclosure of f''')"}),
+                        "help": "certificate mode: sup (an interval enclosure of f''') or "
+                                "hypothesis (trusts |f'''| preinvex; reads the endpoints only)"}),
     "target": ("--target", {"type": float, "help": "adaptive certificate target"}),
     "fixed-n": ("--fixed-n", {"type": int, "help": "uniform subinterval count"}),
     "with-true-error": ("--with-true-error", {"action": "store_const", "const": True,
@@ -370,15 +370,17 @@ COMMANDS = {
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
+def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The top-level parser and each command's own parser."""
     parser = argparse.ArgumentParser(
         prog="etaquad",
         description="Corrected-trapezoid identities, bounds, certified quadrature, and campaigns.",
     )
     parser.add_argument("--version", action="version", version=f"etaquad {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
     for command, (_, help_text, defaults) in COMMANDS.items():
-        p = sub.add_parser(command, help=help_text)
+        p = commands[command] = sub.add_parser(command, help=help_text)
         for key, (flag, kwargs) in OPTIONS.items():
             if key not in defaults and key != "config":
                 continue
@@ -389,11 +391,14 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument(
                 flag, dest=key.replace("-", "_"), **{**kwargs, "help": kwargs["help"] + shown}
             )
-    return parser
+    return parser, commands
 
 
 def run(argv: list[str]) -> int:
-    args = _build_parser().parse_args(argv)
+    parser, commands = _build_parser()
+    args, unknown = parser.parse_known_args(argv)
+    if unknown:  # refused by the command's parser, so its usage line is shown
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)

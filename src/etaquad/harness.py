@@ -15,8 +15,8 @@ together: one parse of the template, one oracle pass over all their
 segments, one jet grid of |f'''| along all their paths, and per bound one
 array of bounds and one gate.  Every step is elementwise or sums each
 segment on its own, so a trial's row has the same bits alone as in any
-batch.  ``tournament`` and ``sharpness_search`` use the same evaluator
-with a batch of one.
+batch.  ``tournament`` uses the same evaluator with a batch of one, and
+``sharpness_search`` with one batch per sweep of its ascent.
 """
 
 from __future__ import annotations
@@ -346,60 +346,48 @@ def sharpness_search(
     seed: int = 0,
     grid_n: int = DEFAULT_GRID,
 ) -> tuple[Instance | None, float]:
-    """Coordinate-ascent search for the largest hypothesis-passing ratio.
+    """Steepest-ascent search for the largest hypothesis-passing ratio.
 
-    Random restarts seed a greedy sweep over the family parameters with a
-    shrinking step schedule; every candidate evaluation counts against
-    ``iterations``.  Returns the best instance found and its ratio; no
-    optimality is claimed.  Gate-failing or degenerate candidates score
-    -inf and are never returned unless nothing passes at all.
+    Each random restart climbs with a shrinking step schedule.  A sweep
+    scores every ± step × span move of one parameter, clipped to the box,
+    in one evaluator batch and takes the best improving move.  A failed
+    gate, a degenerate candidate or a refused batch scores -inf.  Exactly
+    ``iterations`` candidates are scored.  Returns the best instance and
+    its ratio, or (None, -inf) if none passed; no optimality is claimed.
     """
     fam = family if isinstance(family, Family) else FAMILIES[family]
-    path_grid(grid_n)  # score() below turns every ValueError into -inf
+    path_grid(grid_n)  # scores() below turns every ValueError into -inf
     rng = np.random.Generator(np.random.Philox(seed))
-    spans = np.asarray(fam.hi) - np.asarray(fam.lo)
+    # Row 2i moves parameter i up by its span, row 2i + 1 down.
+    moves = np.kron(np.diag(np.subtract(fam.hi, fam.lo)), [[1.0], [-1.0]])
     f = parse(fam.template, fam.names)
 
-    def score(params):
-        """The candidate's ratio and its draw, or -inf and None."""
-        batch = params[None, :]
+    def scores(batch):
+        """Each draw's ratio, -inf where the gate fails or the ratio is not finite."""
         try:
             _, [(_, ratio, ok)] = _evaluate(f, fam.bind(batch), *_segments(batch), [spec], grid_n)
         except (ValueError, simpson.ConvergenceError):
-            return -math.inf, None
-        if not ok[0] or math.isinf(ratio[0]):
-            return -math.inf, None
-        return float(ratio[0]), params
+            return np.full(len(batch), -math.inf)
+        return np.where(ok & np.isfinite(ratio), ratio, -math.inf)
 
     best_ratio = -math.inf
     best_draw = None
     evals = 0
     while evals < iterations:
         params = fam.sample(rng)
-        ratio, draw = score(params)
+        [ratio] = scores(params[None, :])
         evals += 1
-        if ratio > best_ratio:
-            best_ratio, best_draw = ratio, draw
         for frac in (0.3, 0.1, 0.03, 0.01):
-            improved = True
-            while improved and evals < iterations:
-                improved = False
-                for i in range(len(params)):
-                    for direction in (1.0, -1.0):
-                        if evals >= iterations:
-                            break
-                        cand = params.copy()
-                        cand[i] += direction * frac * spans[i]
-                        cand = fam.clip(cand)
-                        cand_ratio, cand_draw = score(cand)
-                        evals += 1
-                        if cand_ratio > ratio:
-                            params, ratio, draw = cand, cand_ratio, cand_draw
-                            improved = True
-                if ratio > best_ratio:
-                    best_ratio, best_draw = ratio, draw
-            if evals >= iterations:
-                break
+            while evals < iterations:
+                cands = fam.clip(params + frac * moves)[: iterations - evals]
+                cand_ratios = scores(cands)
+                evals += len(cands)
+                k = int(np.argmax(cand_ratios))
+                if not cand_ratios[k] > ratio:
+                    break
+                params, ratio = cands[k], cand_ratios[k]
+        if ratio > best_ratio:  # a climb's last ratio is its best
+            best_ratio, best_draw = float(ratio), params
     if best_draw is None:
         return None, best_ratio
     f, b, h = fam.build(best_draw)

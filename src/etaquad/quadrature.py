@@ -4,12 +4,12 @@ The segment from b to b + h is split into subintervals; on each, the
 corrected trapezoid rule is applied and a rigorous-style local error bound
 is attached:
 
+  * ``sup`` mode, the default, encloses f''' over each whole subinterval
+    with one interval jet (``Expression.enclose3``) and charges
+    w^4/192 * sup|f'''|, making no shape assumption;
   * ``hypothesis`` mode trusts preinvexity of |f'''| along the path and
     charges w^4/384 * (|f'''(left)| + |f'''(right)|) per subinterval of
-    width w;
-  * ``sup`` mode encloses f''' over each whole subinterval with one
-    interval jet (``Expression.enclose3``) and charges w^4/192 * sup|f'''|,
-    making no shape assumption.
+    width w.
 
 The certificate is the sum of local bounds.  A fixed uniform n accepts
 every subinterval at once; a target bisects level by level, accepting a
@@ -38,7 +38,7 @@ __all__ = [
     "true_error",
 ]
 
-MODES = ("hypothesis", "sup")  # the first is integrate_certified's default
+MODES = ("sup", "hypothesis")  # the first is integrate_certified's default
 DEFAULT_BUDGET = 1 << 20
 # The partition's columns, as CertifiedResult holds them and its JSON names them.
 PARTITION_COLUMNS = ("left", "right", "local_value", "local_bound")

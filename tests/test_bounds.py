@@ -274,6 +274,12 @@ def test_assembled_from_moments():
         assert tight == pytest.approx(want, rel=1e-12, abs=1e-300)
 
 
+@pytest.mark.parametrize("h", [math.inf, -math.inf, math.nan, np.array([1.0, math.nan])])
+def test_non_finite_displacement_is_refused(h):
+    with pytest.raises(ValueError, match="h must be finite"):
+        bound(BoundSpec("T2.1", 2.0), h, DerivativeData(1.0, 1.0))
+
+
 def test_t33_tight_variant():
     d = DerivativeData(2.0, 3.0)
     for q in (1.5, 2.0, 4.0):

@@ -318,11 +318,24 @@ def test_integrate_adaptive_target(capsys):
     assert report["result"]["mode"] == "sup"
 
 
+def test_integrate_default_mode_certificate_holds_the_true_error(capsys):
+    # |f'''| of this Gaussian is tiny at both ends, so an endpoint
+    # (hypothesis mode) certificate would claim far less than the error.
+    code, report, _ = invoke_json(
+        capsys, "integrate", "--f", "exp(-200*x*x)", "--a", "3", "--b", "-3",
+        "--target", "1e-6", "--with-true-error",
+    )
+    assert code == 0
+    assert report["config"]["mode"] == "sup"
+    assert report["result"]["certificate"] >= report["result"]["true_error"]
+
+
 def test_integrate_non_finite_is_usage_error(capsys):
     with warnings.catch_warnings():
         warnings.simplefilter("error")  # and no numpy warning on the way
         code, out, err = invoke(
-            capsys, "integrate", "--f", "exp(800*x)", "--a", "1", "--b", "0", "--target", "1e-6"
+            capsys, "integrate", "--f", "exp(800*x)", "--a", "1", "--b", "0", "--target", "1e-6",
+            "--mode", "hypothesis",
         )
     assert code == 2
     assert out == ""
@@ -351,7 +364,7 @@ def test_non_finite_report_is_refused_by_name(tmp_path, capsys, fmt):
 def test_integrate_oracle_failure_is_reported(capsys):
     code, out, err = invoke(
         capsys, "integrate", "--f", "1/(x-0.3)", "--a", "1", "--b", "0",
-        "--fixed-n", "2", "--with-true-error",
+        "--fixed-n", "2", "--with-true-error", "--mode", "hypothesis",
     )
     message = "22360 interval(s) still above tolerance after depth 40"
     assert code == 1
@@ -459,6 +472,8 @@ def test_suite_unknown_family(capsys):
          '{"a":' * 100000, "cannot read config file: maximum recursion depth"),
         (("suite", "--trials", "0", "--grid", "1"), None, "got 1"),
         (("hh-classical", "--f", "x*x", "--a", "0", "--b", "1"), {"grid": 9}, "'grid'"),
+        (("tournament", "--f", "x", "--a", "1", "--b", "0", "--q-grid", "1,x"),
+         None, "bad q grid"),
     ],
 )
 def test_bad_values_are_one_line_usage_errors(tmp_path, capsys, argv, config, names):
@@ -576,7 +591,9 @@ def test_hh_classical_takes_no_grid(capsys):
     with pytest.raises(SystemExit) as exc:
         run(["hh-classical", "--f", "x*x", "--a", "0", "--b", "1", "--grid", "9"])
     assert exc.value.code == 2
-    assert capsys.readouterr().err.endswith("error: unrecognized arguments: --grid 9\n")
+    err = capsys.readouterr().err
+    assert err.endswith("error: unrecognized arguments: --grid 9\n")
+    assert err.startswith("usage: etaquad hh-classical [-h] [--f FUNCTION]")
 
 
 def test_hh_classical_exit_codes(capsys):

@@ -7,7 +7,7 @@ import warnings
 import numpy as np
 import pytest
 
-from etaquad import DomainError, Jet3, ParseError, parse
+from etaquad import DomainError, Interval, Jet3, ParseError, parse
 from etaquad.expr import EVAL_CHUNK
 
 
@@ -103,6 +103,9 @@ def test_implicit_multiplication_rejected(text, pos):
         "pow(x, sin(x))",
         "x ** 2",
         "--x",
+        "x )",
+        "exp x",
+        "exp(x",
     ],
 )
 def test_rejected_inputs(text):
@@ -608,6 +611,13 @@ def test_enclosure_of_a_point_holds_its_jet():
 def test_enclosure_needs_ordered_endpoints(lo, hi):
     with pytest.raises(ValueError, match="lo <= hi"):
         parse("x").enclose3(np.array([0.0, lo]), np.array([1.0, hi]))
+
+
+@pytest.mark.parametrize("fn", [np.add.reduce, np.tan], ids=["reduce", "tan"])
+def test_interval_refuses_ufuncs_it_does_not_enclose(fn):
+    # numpy would otherwise run them on an object array of bounds.
+    with pytest.raises(TypeError):
+        fn(Interval(np.array([[0.0, 1.0], [1.0, 2.0]])))
 
 
 def test_scalar_enclosure_is_a_one_point_run():

@@ -19,6 +19,7 @@ from etaquad import (
     sharpness_search,
     tournament,
 )
+from etaquad import harness
 from etaquad.harness import (
     _clamp_h,
     _evaluate,
@@ -26,6 +27,7 @@ from etaquad.harness import (
     _safe_ratio,
     _segments,
 )
+from etaquad.invex import DEFAULT_GRID
 
 SIX = [BoundSpec(t, 2.0) for t in THEOREM_ORDER]
 
@@ -292,6 +294,79 @@ def test_sharpness_mono4_reaches_corner():
     assert ratio >= 8.0 / 15.0 - 1e-9
     assert ratio <= 1.0 + 1e-9
     assert inst is not None and inst.spec.theorem == "C2.1"
+
+
+def _spied_search(monkeypatch, spec, fam, iterations, seed=0):
+    """The search's result and its evaluator calls, each as [draw matrix,
+    (bound, ratio, gate) or None where the evaluator refused the batch]."""
+    calls = []
+
+    def segments(draws):
+        calls.append([draws.copy(), None])
+        return _segments(draws)
+
+    def evaluate(*args):
+        lhs, out = _evaluate(*args)
+        calls[-1][1] = out[0]
+        return lhs, out
+
+    monkeypatch.setattr(harness, "_segments", segments)
+    monkeypatch.setattr(harness, "_evaluate", evaluate)
+    inst, ratio = sharpness_search(spec, fam, iterations=iterations, seed=seed)
+    if inst is not None:
+        calls.pop()  # Family.build of the returned draw
+    return inst, ratio, calls
+
+
+def _alone(spec, fam, draw):
+    """(bound, ratio, gate) of one draw evaluated as a batch of one."""
+    batch = draw[None, :]
+    f = parse(fam.template, fam.names)
+    return _evaluate(f, fam.bind(batch), *_segments(batch), [spec], DEFAULT_GRID)[1][0]
+
+
+@pytest.mark.parametrize("iterations", [1, 5, 40, 300])
+def test_sharpness_scores_each_sweep_in_one_evaluator_call(monkeypatch, iterations):
+    spec, fam = BoundSpec("T3.1", 2.0), FAMILIES["trig"]
+    inst, ratio, calls = _spied_search(monkeypatch, spec, fam, iterations)
+    assert sum(len(draws) for draws, _ in calls) == iterations
+    moves = np.kron(np.diag(np.subtract(fam.hi, fam.lo)), [[1.0], [-1.0]])
+    rng = np.random.Generator(np.random.Philox(0))
+    start = fam.sample(rng)
+    restarts = 0
+    for k, (draws, out) in enumerate(calls):
+        if len(draws) == 1 and np.array_equal(draws[0], start):  # a restart's draw
+            restarts += 1
+            start = fam.sample(rng)
+        elif len(draws) < 3:  # too few moves to fix the centre: the cut last sweep
+            assert k == len(calls) - 1
+        else:  # the moves of one sweep around one centre, in order
+            assert k > 0
+            centre = draws[0].copy()
+            centre[0] = draws[2][0]
+            assert any(np.array_equal(draws, fam.clip(centre + frac * moves)[: len(draws)])
+                       for frac in (0.3, 0.1, 0.03, 0.01))
+        for draw, in_batch in zip(draws, out[1]):
+            assert _alone(spec, fam, draw)[1].tobytes() == in_batch.tobytes()
+    assert len(calls[0][0]) == 1 and restarts >= 1
+    assert (inst is None) == (ratio == -math.inf) and ratio <= 1.0 + 1e-9
+
+
+def test_sharpness_refused_batch_scores_minus_inf(monkeypatch):
+    # log(x + c) leaves its domain where a path reaches x <= -c, so some
+    # sweeps hold a candidate for which the evaluator refuses the batch.
+    spec = BoundSpec("T2.1", 2.0)
+    fam = Family("log", "log(x + c)", ("c",), (0.5, -1.5, -1.5), (3.0, 1.5, 1.5))
+    inst, ratio, calls = _spied_search(monkeypatch, spec, fam, 200)
+    assert any(out is None for _, out in calls)
+    scored = [(r, draw) for draws, out in calls if out is not None
+              for draw, r, ok in zip(draws, out[1], out[2]) if ok and math.isfinite(r)]
+    best, draw = max(scored, key=lambda pair: pair[0])
+    assert inst is not None and ratio == best > 0.0
+    _, alone, ok = _alone(spec, fam, draw)
+    assert ok[0] and alone[0] == ratio
+    _, b, h = _segments(draw[None, :])
+    assert (inst.b, inst.a) == (b[0], b[0] + h[0])
 
 
 # --- classical chain -------------------------------------------------------

@@ -27,7 +27,7 @@ def exact_poly_x4(seg):
 def test_single_interval_anchor():
     f = parse("pow(x,4)")
     seg = PathSegment(0.0, 2.0)
-    res = integrate_certified(f, seg, fixed_n=1)
+    res = integrate_certified(f, seg, fixed_n=1, mode="hypothesis")
     assert res.value == pytest.approx(16.0 / 3.0, rel=1e-15)
     # local endpoint bound: w^4/384 * (|f'''(0)| + |f'''(2)|) = 16/384 * 48
     assert res.certificate == pytest.approx(2.0, rel=1e-15)
