@@ -397,8 +397,9 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 def run(argv: list[str]) -> int:
     parser, commands = _build_parser()
     args, unknown = parser.parse_known_args(argv)
-    if unknown:  # refused by the command's parser, so its usage line is shown
-        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:  # shown with the usage of the parser the first one was given to
+        owner = parser if unknown[0] in argv[: argv.index(args.command)] else commands[args.command]
+        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)

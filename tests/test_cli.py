@@ -318,6 +318,19 @@ def test_integrate_adaptive_target(capsys):
     assert report["result"]["mode"] == "sup"
 
 
+def test_integrate_hypothesis_mode(capsys):
+    # exp is convex with a monotone third derivative, so the endpoint
+    # certificate holds.
+    code, report, _ = invoke_json(
+        capsys, "integrate", "--f", "exp(x)", "--a", "1", "--b", "0",
+        "--fixed-n", "16", "--with-true-error", "--mode", "hypothesis",
+    )
+    assert code == 0
+    res = report["result"]
+    assert res["mode"] == "hypothesis" and res["n"] == 16
+    assert 0.0 < abs(res["true_error"]) <= res["certificate"]
+
+
 def test_integrate_default_mode_certificate_holds_the_true_error(capsys):
     # |f'''| of this Gaussian is tiny at both ends, so an endpoint
     # (hypothesis mode) certificate would claim far less than the error.
@@ -594,6 +607,13 @@ def test_hh_classical_takes_no_grid(capsys):
     err = capsys.readouterr().err
     assert err.endswith("error: unrecognized arguments: --grid 9\n")
     assert err.startswith("usage: etaquad hh-classical [-h] [--f FUNCTION]")
+    # Given before the command, the flag is the top-level parser's.
+    with pytest.raises(SystemExit) as exc:
+        run(["--grid", "hh-classical", "--f", "x*x", "--a", "0", "--b", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: etaquad [-h] [--version]")
+    assert err.endswith("etaquad: error: unrecognized arguments: --grid\n")
 
 
 def test_hh_classical_exit_codes(capsys):

@@ -69,14 +69,15 @@ def test_partition_tiles_the_segment(policy):
 def test_certificate_fourth_order_decay():
     f = parse("exp(x)")
     seg = PathSegment(0.0, 1.0)
-    prev = None
-    for n in (8, 16, 32, 64):
-        res = integrate_certified(f, seg, fixed_n=n)
-        assert true_error(f, res) <= res.certificate * (1.0 + 1e-9)
-        if prev is not None:
-            ratio = prev / res.certificate
-            assert 7.0 <= ratio <= 9.0  # certificate scales like n^-3 per step sum
-        prev = res.certificate
+    for mode in quadrature.MODES:
+        prev = None
+        for n in (8, 16, 32, 64):
+            res = integrate_certified(f, seg, fixed_n=n, mode=mode)
+            assert true_error(f, res) <= res.certificate * (1.0 + 1e-9)
+            if prev is not None:
+                ratio = prev / res.certificate
+                assert 7.0 <= ratio <= 9.0  # certificate scales like n^-3 per step sum
+            prev = res.certificate
 
 
 def test_adaptive_meets_target_and_is_deterministic():
@@ -195,7 +196,7 @@ def test_hypothesis_mode_sound_on_exp_corpus():
         f = parse(f"exp({c1!r}*x + {c0!r})")
         seg = PathSegment(float(rng.uniform(-1, 1)), float(rng.uniform(0.2, 1.8)))
         for n in (3, 9):
-            res = integrate_certified(f, seg, fixed_n=n)
+            res = integrate_certified(f, seg, fixed_n=n, mode="hypothesis")
             assert true_error(f, res) <= res.certificate * (1.0 + 1e-9)
 
 
