@@ -6,6 +6,7 @@ version, so a report file alone is enough to rerun the computation.  Key
 order in JSON output is fixed; the same argv and seed produce byte-
 identical files.  JSON is indented by 2, except that a dict or list
 holding no dict or list takes one line, so each suite row is one line.
+A list of such dicts is converted column by column, to the same bytes.
 
 Each option is declared once, in ``OPTIONS``, and each command once, in
 ``COMMANDS``.  A key's value is its flag if given, else its value in the
@@ -78,6 +79,35 @@ def _segment(cfg: dict):
 
 # One line of JSON from the C encoder; NaN and inf raise ValueError.
 _one_line = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
+_SCALAR_TEXT = {float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.get}
+_ROW_BLOCK = 4096  # rows converted at once; larger blocks raise the writer's peak resident memory
+
+
+def _column_text(values: tuple, kinds: set) -> list[str]:
+    """Each value's JSON text, converting each distinct object once (rows share a, b, h, lhs)."""
+    to_text = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
+    unique = dict(zip(map(id, values), values))
+    if to_text is float.__repr__ and not all(map(math.isfinite, unique.values())):
+        raise ValueError("a report holds finite numbers only")
+    text = dict(zip(unique, map(to_text or _one_line, unique.values())))
+    return list(map(text.__getitem__, map(id, values)))
+
+
+def _flat_rows(rows: list) -> list[str] | None:
+    """One line per row of a list of flat dicts that share one key order,
+    written column by column; None for any other list."""
+    keys = tuple(rows[0]) if set(map(type, rows)) == {dict} else ()
+    if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, rows))):
+        return None
+    template = "{%s}" % ", ".join(_one_line(k).replace("%", "%%") + ": %s" for k in keys)
+    lines = []
+    for start in range(0, len(rows), _ROW_BLOCK):
+        columns = list(zip(*map(dict.values, rows[start : start + _ROW_BLOCK])))
+        kinds = [set(map(type, column)) for column in columns]
+        if any(issubclass(kind, (dict, list)) for kind in set().union(*kinds)):
+            return None
+        lines += map(template.__mod__, zip(*map(_column_text, columns, kinds)))
+    return lines
 
 
 def _json(obj, pad: str = "\n") -> str:
@@ -91,7 +121,7 @@ def _json(obj, pad: str = "\n") -> str:
     if is_dict:
         parts = [f"{_one_line(k)}: {_json(v, inner)}" for k, v in obj.items()]
     else:
-        parts = [_json(v, inner) for v in obj]
+        parts = _flat_rows(obj) or [_json(v, inner) for v in obj]
     brackets = "{}" if is_dict else "[]"
     return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
@@ -396,10 +426,14 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict[str, argparse.Argumen
 
 def run(argv: list[str]) -> int:
     parser, commands = _build_parser()
+    start = next((i for i, token in enumerate(argv) if token in COMMANDS), 0)
+    stray = [token for token in argv[:start] if token != "-h" and not (
+        len(token) > 2 and ("--help".startswith(token) or "--version".startswith(token)))]
+    if stray:  # else argparse would take the token after an unknown flag for the command
+        parser.error(f"unrecognized arguments: {' '.join(stray)}")
     args, unknown = parser.parse_known_args(argv)
-    if unknown:  # shown with the usage of the parser the first one was given to
-        owner = parser if unknown[0] in argv[: argv.index(args.command)] else commands[args.command]
-        owner.error(f"unrecognized arguments: {' '.join(unknown)}")
+    if unknown:
+        commands[args.command].error(f"unrecognized arguments: {' '.join(unknown)}")
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)

@@ -6,8 +6,8 @@ bound on the hypothesis it actually needs (the chord or max inequality
 for |f'''|^q, or |f'''| for C2.1, sampled along the path), and records
 the ratio remainder / bound.  A violation is a hypothesis-passing trial
 with ratio above 1 + 1e-9.  All randomness flows from one counter-based
-generator, so a seed reproduces a campaign exactly, and extending the
-trial count only appends trials.
+generator, and a draw is ``Generator.uniform`` bit for bit, so a seed
+reproduces a campaign exactly and extending the trial count only appends trials.
 
 A family is one expression template with named parameters.  A campaign
 draws every trial first, then evaluates the trials of each family
@@ -21,6 +21,7 @@ batch.  ``tournament`` uses the same evaluator with a batch of one, and
 
 from __future__ import annotations
 
+import functools
 import math
 import re
 from dataclasses import dataclass, field, fields
@@ -80,8 +81,13 @@ class Family:
     lo: tuple[float, ...]
     hi: tuple[float, ...]
 
+    @functools.cached_property
+    def _box(self) -> tuple[np.ndarray, np.ndarray]:
+        return np.array(self.lo), np.subtract(self.hi, self.lo)
+
     def sample(self, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.lo, self.hi)
+        """``rng.uniform(lo, hi)`` bit for bit (NumPy's lo + (hi - lo) * random()), unchecked."""
+        return self._box[0] + self._box[1] * rng.random(len(self.lo))
 
     def clip(self, params: np.ndarray) -> np.ndarray:
         return np.clip(params, self.lo, self.hi)
@@ -359,7 +365,7 @@ def sharpness_search(
     path_grid(grid_n)  # scores() below turns every ValueError into -inf
     rng = np.random.Generator(np.random.Philox(seed))
     # Row 2i moves parameter i up by its span, row 2i + 1 down.
-    moves = np.kron(np.diag(np.subtract(fam.hi, fam.lo)), [[1.0], [-1.0]])
+    moves = np.kron(np.diag(fam._box[1]), [[1.0], [-1.0]])
     f = parse(fam.template, fam.names)
 
     def scores(batch):

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: flags, config files, formats, exit codes."""
 
+import collections
 import importlib.metadata
 import json
+import math
 import shlex
 import shutil
 import subprocess
@@ -9,6 +11,7 @@ import sys
 import warnings
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import etaquad
@@ -616,6 +619,22 @@ def test_hh_classical_takes_no_grid(capsys):
     assert err.endswith("etaquad: error: unrecognized arguments: --grid\n")
 
 
+def test_unknown_flag_before_the_command_is_named(capsys):
+    # Its value is not taken for the command.
+    with pytest.raises(SystemExit) as exc:
+        run(["--grid", "9", "hh-classical", "--f", "x", "--a", "0", "--b", "1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage: etaquad [-h] [--version]")
+    assert err.endswith("etaquad: error: unrecognized arguments: --grid 9\n")
+    # Top-level flags, and their prefixes, still stand before the command.
+    for flag in ("--version", "--vers"):
+        with pytest.raises(SystemExit) as exc:
+            run([flag, "hh-classical"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out == f"etaquad {etaquad.__version__}\n"
+
+
 def test_hh_classical_exit_codes(capsys):
     code, report, _ = invoke_json(capsys, "hh-classical", "--f", "pow(x,2)", "--a", "0", "--b", "2")
     assert code == 0
@@ -752,6 +771,72 @@ def test_json_writer_puts_flat_containers_on_one_line():
         '}'
     )
     assert etaquad.cli._json([]) == "[]"
+
+
+def _row_by_row_json(obj, pad="\n"):
+    """The writer's layout with every list written item by item: the
+    reference for the column-by-column path."""
+    one_line = etaquad.cli._one_line
+    items = obj.values() if isinstance(obj, dict) else obj
+    if not isinstance(obj, (dict, list)) or not any(isinstance(v, (dict, list)) for v in items):
+        return one_line(obj)
+    inner = pad + "  "
+    if isinstance(obj, dict):
+        parts = [f"{one_line(k)}: {_row_by_row_json(v, inner)}" for k, v in obj.items()]
+        return "{" + inner + ("," + inner).join(parts) + pad + "}"
+    return "[" + inner + ("," + inner).join(_row_by_row_json(v, inner) for v in obj) + pad + "]"
+
+
+_SHARED = 0.1 + 0.2  # one float object in several rows, as a trial's a, b, h and lhs are
+_FLAT_ROWS = [
+    {"trial": 2**53 + 1, "x": -0.0, "y": True, "s": "é\u2028", "100%": None, 'say "%s"': _SHARED},
+    {"trial": -(2**70), "x": 0.0, "y": False, "s": 'a"b\\c\n\t\x01', "100%": None, 'say "%s"': _SHARED},
+    {"trial": 0, "x": 5e-324, "y": True, "s": "", "100%": None, 'say "%s"': 1e16},
+    {"trial": 7, "x": 1e308, "y": False, "s": "%(x)s %%", "100%": None, 'say "%s"': _SHARED},
+]
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [
+        _FLAT_ROWS,
+        _FLAT_ROWS[:1],
+        [{"x": np.float64(0.5)}, {"x": np.float64(-1e-300)}],  # float subclass
+        # Mixed columns.
+        [{"x": 1, "y": "a"}, {"x": 1.5, "y": None}, {"x": True, "y": 2}, {"x": False, "y": 2.0}],
+        [{"t": (1, 2.5)}, {"t": ()}],
+        # Not flat or not one key order: written row by row.
+        [{"x": 1, "y": [1, 2]}, {"x": 2, "y": []}],
+        [{"x": {"z": 1}}, {"x": {"z": 2}}],
+        [{"x": 1}, {"x": 2}, {"x": 3}, {"x": [4]}],  # nested only past the first block of 3
+        [{"x": 1, "y": 2}, {"y": 3, "x": 4}],
+        [{"x": 1}, {"x": 2, "y": 3}],
+        [{"x": 1}, [1]],
+        [{}, {}],
+        [{1: 2.5}, {1: 3.5}],
+        [collections.OrderedDict(x=1), {"x": 2}],
+    ],
+)
+@pytest.mark.parametrize("block", [3, 4096])
+def test_json_writer_writes_rows_as_row_by_row(monkeypatch, rows, block):
+    monkeypatch.setattr(etaquad.cli, "_ROW_BLOCK", block)
+    for obj in (rows, {"rows": rows, "n": len(rows)}, [rows]):
+        assert etaquad.cli._json(obj) == _row_by_row_json(obj)
+    if rows is _FLAT_ROWS:
+        assert etaquad.cli._json(rows) == "[\n  " + ",\n  ".join(map(etaquad.cli._one_line, rows)) + "\n]"
+        assert json.loads(etaquad.cli._json(rows)) == rows
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("column, value", [("ratio", math.inf), ("lhs", math.nan), ("a", -math.inf)])
+def test_non_finite_suite_row_is_refused_by_name(tmp_path, fmt, column, value):
+    values = ("exp", -1.5, 0.25, -1.75, "T2.1", 2.0, 1e-3, 2e-3, 0.5, True)
+    rows = [dict(zip(CSV_COLUMNS, (trial, *values))) for trial in range(3)]
+    rows[1][column] = value
+    out = tmp_path / "report"
+    with pytest.raises(ValueError, match=rf"^result\.rows\.1\.{column} is {value}; "):
+        _emit({"result": {"rows": rows}}, str(out), fmt, csv_rows=rows)
+    assert not out.exists()
 
 
 def test_config_file_errors(tmp_path, capsys):

@@ -218,6 +218,24 @@ def test_mixed_family_draws_from_pool():
     assert len(names) > 1
 
 
+@pytest.mark.parametrize("name", sorted(FAMILIES))
+def test_sample_is_uniform_bit_for_bit(name):
+    # Draws interleaved with integer draws, as the mixed family's are.
+    fam = FAMILIES[name]
+    for seed in range(4):
+        ours, reference = (np.random.Generator(np.random.Philox(seed)) for _ in range(2))
+        for _ in range(200):
+            assert ours.integers(0, 3) == reference.integers(0, 3)
+            assert fam.sample(ours).tobytes() == reference.uniform(fam.lo, fam.hi).tobytes()
+
+
+def test_mixed_suite_is_unchanged_under_uniform_draws(monkeypatch):
+    fast = run_inequality_suite("mixed", SIX, trials=60, seed=3)
+    monkeypatch.setattr(Family, "sample", lambda fam, rng: rng.uniform(fam.lo, fam.hi))
+    reference = run_inequality_suite("mixed", SIX, trials=60, seed=3)
+    assert repr(fast.to_json()) == repr(reference.to_json())
+
+
 def test_suite_rejects_negative_trials():
     with pytest.raises(ValueError):
         run_inequality_suite("exp", SIX, trials=-1, seed=0)
