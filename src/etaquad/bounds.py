@@ -3,9 +3,10 @@
 Ten selectable variants, keyed T2.1..T3.3 and C2.1..C2.4.  All bound
 |integral - Q| over the segment from b to b + h in terms of the endpoint
 third-derivative magnitudes A = |f'''(a)| and B = |f'''(b)| and a power
-h^4.  The T2.x family assumes |f'''|^q is preinvex along the path and uses
-a power mean of (A, B); the T3.x family assumes prequasiinvexity and uses
-max(A, B).  The C2.x values are the straight-line corollaries.
+h^4.  Each is one row of ``SELECTORS``: a hypothesis on |f'''|^r along the
+path, which picks the endpoint term (a power mean or q-norm of (A, B) if
+preinvex, max(A, B) if prequasiinvex), and one of three closed forms.  The
+C2.x values are the straight-line corollaries; C2.1 is the mean form at r = 1.
 
 ``bound`` computes on arrays with one entry per segment; floats run as a
 one-entry array, so a segment has the same bits alone as in any batch.
@@ -38,20 +39,24 @@ __all__ = [
 ]
 
 # selector -> (hypothesis the bound assumes for |f'''|^r along the path,
-# whether it needs q > 1 for the conjugate exponent (q >= 1 otherwise),
-# the exponent r: None for the spec's q).  C2.1's value h^4/384*(A+B) is
-# T2.1 at q = 1, so it holds only where |f'''| itself is preinvex.
+# the exponent r: None for the spec's q, closed form: "mean" h^4/192*E for
+# q >= 1, or "holder" or "beta", which need q > 1 for p = q/(q-1)).  The
+# hypothesis picks the endpoint term E: max(A, B) if prequasiinvex; if
+# preinvex, the power mean ((A^r + B^r)/2)^(1/r) in the mean form and the
+# q-norm (A^q + B^q)^(1/q) in the others.  C2.1 is the mean form at r = 1,
+# h^4/192*(A+B)/2 = h^4/384*(A+B), so it holds only where |f'''| itself is
+# preinvex.
 SELECTORS = {
-    "T2.1": ("preinvex", False, None),
-    "T2.2": ("preinvex", True, None),
-    "T2.3": ("preinvex", True, None),
-    "T3.1": ("prequasiinvex", False, None),
-    "T3.2": ("prequasiinvex", True, None),
-    "T3.3": ("prequasiinvex", True, None),
-    "C2.1": ("preinvex", False, 1.0),
-    "C2.2": ("preinvex", False, None),
-    "C2.3": ("prequasiinvex", False, None),
-    "C2.4": ("prequasiinvex", False, None),
+    "T2.1": ("preinvex", None, "mean"),
+    "T2.2": ("preinvex", None, "holder"),
+    "T2.3": ("preinvex", None, "beta"),
+    "T3.1": ("prequasiinvex", None, "mean"),
+    "T3.2": ("prequasiinvex", None, "holder"),
+    "T3.3": ("prequasiinvex", None, "beta"),
+    "C2.1": ("preinvex", 1.0, "mean"),
+    "C2.2": ("preinvex", None, "mean"),
+    "C2.3": ("prequasiinvex", None, "mean"),
+    "C2.4": ("prequasiinvex", None, "mean"),
 }
 
 # The six theorems, in the tournament's tie-break order.
@@ -70,7 +75,7 @@ class BoundSpec:
             raise ValueError(f"unknown bound selector {self.theorem!r}")
         if not math.isfinite(self.q):
             raise ValueError("q must be finite")
-        if SELECTORS[self.theorem][1]:  # needs q > 1
+        if SELECTORS[self.theorem][2] != "mean":  # p = q/(q-1) needs q > 1
             if self.q <= 1.0:
                 raise ValueError(f"{self.theorem} requires q > 1")
         elif self.q < 1.0:
@@ -84,7 +89,7 @@ class BoundSpec:
     @property
     def hypothesis_q(self) -> float:
         """The exponent r of the hypothesis on |f'''|^r: q, or 1 for C2.1."""
-        return SELECTORS[self.theorem][2] or self.q
+        return SELECTORS[self.theorem][1] or self.q
 
     @property
     def p(self) -> float:
@@ -180,14 +185,9 @@ def scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
     """base ** exponent element by element with Python's pow, the C
     library's: numpy's vectorised power can differ from it in the last
     place, and a batch must give each segment the bits of a batch of one."""
+    if exponent == 1:  # x ** 1 is x exactly
+        return base
     return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
-
-
-def _power_mean(a, b, q: float):
-    mean = scalar_pow((scalar_pow(a, q) + scalar_pow(b, q)) / 2.0, 1.0 / q)
-    # Exact at a == b: skip the pow round trip so symmetric data gives
-    # bit-identical T2.1 and T3.1 values.
-    return np.where(a == b, a, mean)
 
 
 def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundValue:
@@ -205,72 +205,48 @@ def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundVa
     if tight and spec.theorem != "T3.3":
         raise ValueError("tight variant exists only for T3.3")
 
-    h4 = scalar_pow(h, 4)
+    hypothesis, r, form = SELECTORS[spec.theorem]
     q = spec.q
-    thm = spec.theorem
+    quasi = hypothesis == "prequasiinvex"
+    if quasi:
+        ends = np.maximum(A, B)
+    elif form == "mean":  # exact at A == B, so T2.1 and T3.1 tie there to the bit
+        r = r or q
+        ends = np.where(A == B, A, scalar_pow((scalar_pow(A, r) + scalar_pow(B, r)) / 2.0, 1.0 / r))
+    else:
+        ends = scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
+    h4 = scalar_pow(h, 4)
+    k = 3.0 if quasi else 6.0  # in the holder form's 24 k^(1/q) and the beta form's 16 k
 
-    if thm in ("T2.1", "C2.2"):
-        value = h4 / 192.0 * _power_mean(A, B, q)
-        constants = {
-            "kernel_moment": moment_c1(),
-            "weighted_kernel_moments": moment_c2(),
-            "prefactor": 1.0 / 192.0,
-        }
-        if thm == "C2.2":
+    if form == "mean":
+        value = h4 / 192.0 * ends
+        if spec.theorem == "C2.1":  # audited in its printed form h^4/384*(A+B)
+            constants = {"weighted_kernel_moments": moment_c2(), "prefactor": 1.0 / 384.0}
+        elif quasi:
+            constants = {"kernel_moment": moment_c1(), "prefactor": 1.0 / 192.0}
+        else:
+            constants = {"kernel_moment": moment_c1(), "weighted_kernel_moments": moment_c2(),
+                         "prefactor": 1.0 / 192.0}
+        if spec.theorem == "C2.2":
             # The printed corollary constant 1/384 agrees with the power
             # mean form only at q = 1; the power mean form is what holds.
             constants["printed_q1_prefactor"] = 1.0 / 384.0
-    elif thm == "C2.1":
-        value = h4 / 384.0 * (A + B)
-        constants = {"weighted_kernel_moments": moment_c2(), "prefactor": 1.0 / 384.0}
-    elif thm in ("T3.1", "C2.3", "C2.4"):
-        value = h4 / 192.0 * np.maximum(A, B)
-        constants = {"kernel_moment": moment_c1(), "prefactor": 1.0 / 192.0}
-    elif thm in ("T2.2", "T3.2"):
+    elif form == "holder":
         p = spec.p
-        if thm == "T2.2":
-            prefactor = 1.0 / (24.0 * 6.0 ** (1.0 / q))
-            ends = scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
-        else:
-            prefactor = 1.0 / (24.0 * 3.0 ** (1.0 / q))
-            ends = np.maximum(A, B)
+        prefactor = 1.0 / (24.0 * k ** (1.0 / q))
         value = h4 * prefactor * ((p + 1.0) * (p + 3.0)) ** (-1.0 / p) * ends
         constants = {"holder_weighted_moment": holder_weighted_moment(p), "prefactor": prefactor}
-    elif thm == "T2.3":
+    else:  # beta
         p = spec.p
         gr = gamma_ratio(p)
-        value = (
-            h4
-            / 96.0
-            * math.sqrt(math.pi) ** (1.0 / p)
-            * gr ** (1.0 / p)
-            * (q + 1.0) ** (-1.0 / q)
-            * scalar_pow(scalar_pow(A, q) + scalar_pow(B, q), 1.0 / q)
-        )
-        constants = {
-            "beta_moment": beta_moment(p),
-            "abs_moment": abs_moment(q),
-            "gamma_ratio": gr,
-            "prefactor": 1.0 / 96.0,
-        }
-    else:  # T3.3
-        p = spec.p
-        gr = gamma_ratio(p)
-        value = (
-            h4
-            / 48.0
-            * math.sqrt(math.pi) ** (1.0 / p)
-            * gr ** (1.0 / p)
-            * (q + 1.0) ** (-1.0 / q)
-            * np.maximum(A, B)
-        )
-        constants = {
-            "beta_moment": beta_moment(p),
-            "kernel_abs_moment": 1.0 / (q + 1.0),
-            "gamma_ratio": gr,
-            "prefactor": 1.0 / 48.0,
-            "tight_factor": 2.0 ** (-1.0 / p),
-        }
+        value = (h4 / (16.0 * k) * math.sqrt(math.pi) ** (1.0 / p) * gr ** (1.0 / p)
+                 * (q + 1.0) ** (-1.0 / q) * ends)
+        if quasi:
+            constants = {"beta_moment": beta_moment(p), "kernel_abs_moment": 1.0 / (q + 1.0),
+                         "gamma_ratio": gr, "prefactor": 1.0 / 48.0, "tight_factor": 2.0 ** (-1.0 / p)}
+        else:
+            constants = {"beta_moment": beta_moment(p), "abs_moment": abs_moment(q),
+                         "gamma_ratio": gr, "prefactor": 1.0 / 96.0}
         if tight:
             value *= 2.0 ** (-1.0 / p)
     return BoundValue(float(value[0]) if floats else value, spec, constants)

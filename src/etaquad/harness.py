@@ -173,7 +173,7 @@ class CampaignReport:
     max_ratio: float
     argmax: dict | None
     table: list[dict]
-    rows: list[dict] = field(default_factory=list, repr=False)
+    rows: list[dict] = field(repr=False)
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -212,7 +212,10 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
     d3 = np.abs(f.jet3(x, **{k: column(v) for k, v in params.items()}).d3)
     data = DerivativeData(d3[:, -1], d3[:, 0])
     d3 = d3[:, :-1]
+    # |lhs| within a few rounding errors of the two terms it is the
+    # difference of says nothing about R's size: its ratio is a clean 0.
     lhs_abs = np.abs(lhs)
+    lhs_abs[lhs_abs <= 4.0 * np.finfo(float).eps * (np.abs(integral) + np.abs(q_value))] = 0.0
     gates = {}  # specs with one hypothesis and one exponent share their gate
     out = []
     for spec in specs:

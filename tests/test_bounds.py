@@ -298,3 +298,170 @@ def test_constants_used_are_reported():
     assert bv.constants_used["tight_factor"] == pytest.approx(2.0 ** -0.5)
     out = bv.to_json()
     assert list(out) == ["value", "theorem", "q", "constants_used"]
+
+
+# --- pinned bits -----------------------------------------------------------
+
+# Every report carries these values and constants, so they are pinned to the
+# bit: three single segments (one with A == B, one with A = 0) and a batch of
+# three, for each selector at two exponents and T3.3 with and without
+# ``tight``.  (selector, q, tight) -> (constants_used in its order, the three
+# single values then the batch's), all as float.hex().
+PIN_CASES = ((1.3, 3.0, 1.0), (0.7, 2.5, 2.5), (-0.4, 0.0, 5.0))
+PIN_BATCH = (np.array([0.5, -1.1, 1.9]), np.array([1.0, 0.0, 4.0]), np.array([2.0, 3.0, 4.0]))
+PINNED = {
+    ("T2.1", 1.0, False): (
+        {"kernel_moment": "0x1.0000000000000p-4",
+         "weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.e770e9bebcb08p-6", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-12",
+         "0x1.0000000000000p-11", "0x1.76cf41f212d79p-7", "0x1.1604a462d9a25p-2"),
+    ),
+    ("T2.1", 7.3, False): (
+        {"kernel_moment": "0x1.0000000000000p-4",
+         "weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.4c7af6cca9fe6p-5", "0x1.99c54a6921734p-9", "0x1.3ddd3edda6e65p-11",
+         "0x1.36aef321b7bbap-11", "0x1.54dbb1a83f9dfp-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("T2.2", 1.5, False): (
+        {"holder_weighted_moment": "0x1.5555555555555p-6", "prefactor": "0x1.9d7ef262c1eabp-7"},
+        ("0x1.594c99690c2dap-5", "0x1.112e319b6ba24p-8", "0x1.259537d6e510fp-11",
+         "0x1.5ed13c5b7dee7p-11", "0x1.3ad20192923fcp-6", "0x1.72b0db2e77832p-2"),
+    ),
+    ("T2.2", 7.3, False): (
+        {"holder_weighted_moment": "0x1.c83f7437a31e1p-5", "prefactor": "0x1.0b0b3c277ca2bp-5"},
+        ("0x1.5846cf3ba5d17p-5", "0x1.a84f25ae8fd3ap-9", "0x1.492456189ab0fp-11",
+         "0x1.41b4d186d0eeap-11", "0x1.60f3a232ff21ap-6", "0x1.1fe1d1c964e81p-2"),
+    ),
+    ("T2.3", 1.5, False): (
+        {"beta_moment": "0x1.d41d41d41d421p-8", "abs_moment": "0x1.999999999999ap-3",
+         "gamma_ratio": "0x1.081aeea4b86c9p-1", "prefactor": "0x1.5555555555555p-7"},
+        ("0x1.b1380fd5d8995p-5", "0x1.56bcc679e0d44p-8", "0x1.7055ae707182ep-11",
+         "0x1.b82461f284dfap-11", "0x1.8afac78d3d6c4p-6", "0x1.d113688955c87p-2"),
+    ),
+    ("T2.3", 7.3, False): (
+        {"beta_moment": "0x1.06794be42f7ddp-3", "abs_moment": "0x1.ed7e75346f093p-5",
+         "gamma_ratio": "0x1.711159521678dp-1", "prefactor": "0x1.5555555555555p-7"},
+        ("0x1.5203dbb47fb6cp-4", "0x1.a097907cc68a7p-8", "0x1.4327da1be6484p-10",
+         "0x1.3bdaf450c2b2cp-10", "0x1.5a884a849af28p-5", "0x1.1aa570dc4d357p-1"),
+    ),
+    ("T3.1", 1.0, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("T3.1", 7.3, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("T3.2", 1.5, False): (
+        {"holder_weighted_moment": "0x1.5555555555555p-6", "prefactor": "0x1.48312081037f8p-6"},
+        ("0x1.e770e9bebcb0ap-5", "0x1.112e319b6ba24p-8", "0x1.d208a5a912e34p-11",
+         "0x1.c71c71c71c71ep-11", "0x1.f3bf0298191f8p-6", "0x1.72b0db2e77833p-2"),
+    ),
+    ("T3.2", 7.3, False): (
+        {"holder_weighted_moment": "0x1.c83f7437a31e1p-5", "prefactor": "0x1.25a49a79ca391p-5"},
+        ("0x1.7a8d2cad79ecdp-5", "0x1.a84f25ae8fd3bp-9", "0x1.69ed25945d410p-11",
+         "0x1.617196b2e3117p-11", "0x1.841b920ab0c68p-6", "0x1.1fe1d1c964e81p-2"),
+    ),
+    ("T3.3", 1.5, False): (
+        {"beta_moment": "0x1.d41d41d41d421p-8", "kernel_abs_moment": "0x1.999999999999ap-2",
+         "gamma_ratio": "0x1.081aeea4b86c9p-1", "prefactor": "0x1.5555555555555p-6",
+         "tight_factor": "0x1.965fea53d6e3dp-1"},
+        ("0x1.81411132f0934p-4", "0x1.afd2732193136p-8", "0x1.7055ae707182ep-10",
+         "0x1.67b3ac59ced9cp-10", "0x1.8afac78d3d6c4p-5", "0x1.24faba35a9437p-1"),
+    ),
+    ("T3.3", 1.5, True): (
+        {"beta_moment": "0x1.d41d41d41d421p-8", "kernel_abs_moment": "0x1.999999999999ap-2",
+         "gamma_ratio": "0x1.081aeea4b86c9p-1", "prefactor": "0x1.5555555555555p-6",
+         "tight_factor": "0x1.965fea53d6e3dp-1"},
+        ("0x1.31c6c487e8529p-4", "0x1.56bcc679e0d44p-8", "0x1.2458f1cc8114bp-10",
+         "0x1.1d7edc21b60e3p-10", "0x1.397eda8a510b3p-5", "0x1.d113688955c88p-2"),
+    ),
+    ("T3.3", 7.3, False): (
+        {"beta_moment": "0x1.06794be42f7ddp-3", "kernel_abs_moment": "0x1.ed7e75346f093p-4",
+         "gamma_ratio": "0x1.711159521678dp-1", "prefactor": "0x1.5555555555555p-6",
+         "tight_factor": "0x1.197fc27bc0898p-1"},
+        ("0x1.51fff5f1865d2p-3", "0x1.7adb1893f5596p-7", "0x1.4327da1be6485p-9",
+         "0x1.3b94eaff3ee29p-9", "0x1.5a884a849af29p-4", "0x1.010b141f95166p+0"),
+    ),
+    ("T3.3", 7.3, True): (
+        {"beta_moment": "0x1.06794be42f7ddp-3", "kernel_abs_moment": "0x1.ed7e75346f093p-4",
+         "gamma_ratio": "0x1.711159521678dp-1", "prefactor": "0x1.5555555555555p-6",
+         "tight_factor": "0x1.197fc27bc0898p-1"},
+        ("0x1.73aaa3b87bdf9p-4", "0x1.a097907cc68a9p-8", "0x1.635804ae3e170p-10",
+         "0x1.5b03f49228a27p-10", "0x1.7d0c8aab5271cp-5", "0x1.1aa570dc4d358p-1"),
+    ),
+    ("C2.1", 1.0, False): (
+        {"weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-9"},
+        ("0x1.e770e9bebcb08p-6", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-12",
+         "0x1.0000000000000p-11", "0x1.76cf41f212d79p-7", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.1", 7.3, False): (
+        {"weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-9"},
+        ("0x1.e770e9bebcb08p-6", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-12",
+         "0x1.0000000000000p-11", "0x1.76cf41f212d79p-7", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.2", 1.0, False): (
+        {"kernel_moment": "0x1.0000000000000p-4",
+         "weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-8",
+         "printed_q1_prefactor": "0x1.5555555555555p-9"},
+        ("0x1.e770e9bebcb08p-6", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-12",
+         "0x1.0000000000000p-11", "0x1.76cf41f212d79p-7", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.2", 7.3, False): (
+        {"kernel_moment": "0x1.0000000000000p-4",
+         "weighted_kernel_moments": "0x1.0000000000000p-5", "prefactor": "0x1.5555555555555p-8",
+         "printed_q1_prefactor": "0x1.5555555555555p-9"},
+        ("0x1.4c7af6cca9fe6p-5", "0x1.99c54a6921734p-9", "0x1.3ddd3edda6e65p-11",
+         "0x1.36aef321b7bbap-11", "0x1.54dbb1a83f9dfp-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.3", 1.0, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.3", 7.3, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.4", 1.0, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+    ("C2.4", 7.3, False): (
+        {"kernel_moment": "0x1.0000000000000p-4", "prefactor": "0x1.5555555555555p-8"},
+        ("0x1.6d94af4f0d846p-5", "0x1.99c54a6921734p-9", "0x1.5d867c3ece2a7p-11",
+         "0x1.5555555555555p-11", "0x1.76cf41f212d79p-6", "0x1.1604a462d9a25p-2"),
+    ),
+}
+
+
+@pytest.mark.parametrize("thm, q, tight", PINNED)
+def test_bound_bits_are_pinned(thm, q, tight):
+    constants, values = PINNED[thm, q, tight]
+    spec = BoundSpec(thm, q)
+    singles = [bound(spec, h, DerivativeData(a3, b3), tight) for h, a3, b3 in PIN_CASES]
+    batch = bound(spec, PIN_BATCH[0], DerivativeData(*PIN_BATCH[1:]), tight)
+    assert all(type(bv.value) is float for bv in singles)
+    got = [bv.value for bv in singles] + batch.value.tolist()
+    assert [v.hex() for v in got] == list(values)
+    for bv in singles + [batch]:
+        assert [(k, v.hex()) for k, v in bv.constants_used.items()] == list(constants.items())
+
+
+def test_c21_is_t21_at_q1_to_the_bit():
+    rng = np.random.Generator(np.random.Philox(31))
+    h = rng.uniform(-2.0, 2.0, 200)
+    a3, b3 = rng.uniform(0.0, 50.0, (2, 200))
+    a3[:20] = b3[:20]
+    a3[20:40] = 0.0
+    t21 = bound(BoundSpec("T2.1", 1.0), h, DerivativeData(a3, b3)).value
+    for q in (1.0, 2.0, 7.3):  # C2.1 assumes |f'''| preinvex whatever its q
+        c21 = bound(BoundSpec("C2.1", q), h, DerivativeData(a3, b3)).value
+        assert c21.tobytes() == t21.tobytes()
+        for k in range(0, 200, 7):
+            d = DerivativeData(float(a3[k]), float(b3[k]))
+            assert bound(BoundSpec("C2.1", q), float(h[k]), d).value.hex() == t21[k].hex()

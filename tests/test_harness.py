@@ -42,6 +42,28 @@ def test_safe_ratio_conventions():
     assert _safe_ratio(3.0, 1.5) == 2.0
 
 
+def test_rounding_noise_remainder_reads_as_zero():
+    """exp seed 0, trial 1556: the oracle's integral and Q are both near 1.9
+    and differ by one ulp, against bounds near 1e-18.  The row keeps its
+    lhs, and its ratio is the clean 0 of ZERO_LHS_TOL, not 354."""
+    fam = FAMILIES["exp"]
+    draws = np.array([
+        [4.092731998147315, -8.53853425875073e-06, -0.15683898238227956, 0.4663799784897402],
+        [1.0, 0.02, 0.0, 0.5],  # R = 7e-12, some 8,000 times the rounding term
+    ])
+    a, b, h = _segments(draws)
+    lhs, out = _evaluate(parse(fam.template, fam.names), fam.bind(draws), a, b, h, SIX, DEFAULT_GRID)
+    assert lhs[0] == -(2.0 ** -52)
+    for bnd, ratio, ok in out:
+        assert bnd[0] < 1e-17 and ok[0]
+        assert ratio[0] == 0.0
+        assert ratio[1] == abs(lhs[1]) / bnd[1] > 0.0  # a true remainder keeps its ratio
+    rep = run_inequality_suite("exp", SIX, 2000, 0)
+    assert rep.violations == 0
+    assert [r["ratio"] for r in rep.rows if r["trial"] == 1556] == [0.0] * 6
+    assert [r["lhs"] for r in rep.rows if r["trial"] == 1556] == [-(2.0 ** -52)] * 6
+
+
 def test_h_clamp():
     assert _clamp_h(0.01) == 0.1
     assert _clamp_h(-0.01) == -0.1
