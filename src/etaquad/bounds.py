@@ -184,10 +184,15 @@ def gamma_ratio(p: float) -> float:
 def scalar_pow(base: np.ndarray, exponent) -> np.ndarray:
     """base ** exponent element by element with Python's pow, the C
     library's: numpy's vectorised power can differ from it in the last
-    place, and a batch must give each segment the bits of a batch of one."""
+    place, and a batch must give each segment the bits of a batch of one.
+    Too large a power is +-inf, as ``expr._powi`` gives."""
     if exponent == 1:  # x ** 1 is x exactly
         return base
-    return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
+    try:
+        return np.array([v ** exponent for v in base.tolist()]).reshape(base.shape)
+    except OverflowError:  # numpy's float64 calls the same pow, and returns its inf
+        with np.errstate(over="ignore"):
+            return np.array([np.float64(v) ** exponent for v in base.tolist()]).reshape(base.shape)
 
 
 def bound(spec: BoundSpec, h, d: DerivativeData, tight: bool = False) -> BoundValue:

@@ -5,8 +5,8 @@ request) that embeds the fully resolved configuration and the package
 version, so a report file alone is enough to rerun the computation.  Key
 order in JSON output is fixed; the same argv and seed produce byte-
 identical files.  JSON is indented by 2, except that a dict or list
-holding no dict or list takes one line, so each suite row is one line.
-A list of such dicts is converted column by column, to the same bytes.
+holding no dict or list takes one line, as does each record of a
+``Table`` (suite rows, a partition), written column by column.
 
 Each option is declared once, in ``OPTIONS``, and each command once, in
 ``COMMANDS``.  A key's value is its flag if given, else its value in the
@@ -20,9 +20,10 @@ error, or a report holding a NaN or inf (no report is written then).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import functools
-import io
+import itertools
 import json
 import math
 import sys
@@ -31,7 +32,6 @@ from . import __version__
 from .bounds import SELECTORS, THEOREM_ORDER, BoundSpec, DerivativeData, bound
 from .expr import ParseError, parse
 from .harness import (
-    CSV_COLUMNS,
     FAMILIES,
     RATIO_SLACK,
     Instance,
@@ -39,7 +39,7 @@ from .harness import (
     run_inequality_suite,
     tournament,
 )
-from .identity import ABS_TOL, PathSegment, verify_identity
+from .identity import ABS_TOL, PathSegment, Table, verify_identity
 from .invex import CHORD_TOL, DEFAULT_GRID, ETA_SPELLINGS, SET_TOL, Domain, EtaMapError, eta_from_json
 from .invex import check_invex_set, check_preinvex, check_prequasiinvex
 from .quadrature import MODES, BudgetError, integrate_certified, true_error
@@ -79,94 +79,85 @@ def _segment(cfg: dict):
 
 # One line of JSON from the C encoder; NaN and inf raise ValueError.
 _one_line = json.JSONEncoder(ensure_ascii=False, allow_nan=False).encode
-_SCALAR_TEXT = {float: float.__repr__, int: int.__repr__, bool: {True: "true", False: "false"}.get}
-_ROW_BLOCK = 4096  # rows converted at once; larger blocks raise the writer's peak resident memory
+# JSON text by the one type of a table column; any other column uses the encoder.
+_TEXT = {float: float.__repr__, int: int.__repr__, str: json.encoder.encode_basestring,
+         bool: {True: "true", False: "false"}.__getitem__}
 
 
-def _column_text(values: tuple, kinds: set) -> list[str]:
-    """Each value's JSON text, converting each distinct object once (rows share a, b, h, lhs)."""
-    to_text = _SCALAR_TEXT.get(next(iter(kinds))) if len(kinds) == 1 else None
-    unique = dict(zip(map(id, values), values))
-    if to_text is float.__repr__ and not all(map(math.isfinite, unique.values())):
-        raise ValueError("a report holds finite numbers only")
-    text = dict(zip(unique, map(to_text or _one_line, unique.values())))
-    return list(map(text.__getitem__, map(id, values)))
+def _table_lines(table: Table, pad: str):
+    """A non-empty table as a JSON list of one line per record, made lazily
+    column by column; a ValueError at once if it holds a NaN or inf."""
+    texts = []
+    for column in table.columns.values():
+        kinds = set(map(type, column))
+        to_text = _TEXT.get(kinds.pop()) if len(kinds) == 1 else None
+        if to_text is None:
+            _one_line(column)  # the encoder refuses NaN and inf
+        elif to_text is float.__repr__ and not all(map(math.isfinite, column)):
+            raise ValueError("a report holds finite numbers only")
+        texts.append(map(to_text or _one_line, column))
+    inner = pad + "  "
+    template = "{%s}" % ", ".join(_one_line(k).replace("%", "%%") + ": %s" for k in table.columns)
+    records = zip(*texts)
+    first = template % next(records)
+    rest = map(("," + inner + template).__mod__, records)
+    return itertools.chain(("[", inner, first), rest, (pad, "]"))
 
 
-def _flat_rows(rows: list) -> list[str] | None:
-    """One line per row of a list of flat dicts that share one key order,
-    written column by column; None for any other list."""
-    keys = tuple(rows[0]) if set(map(type, rows)) == {dict} else ()
-    if not keys or set(map(type, keys)) != {str} or not all(map(keys.__eq__, map(tuple, rows))):
-        return None
-    template = "{%s}" % ", ".join(_one_line(k).replace("%", "%%") + ": %s" for k in keys)
-    lines = []
-    for start in range(0, len(rows), _ROW_BLOCK):
-        columns = list(zip(*map(dict.values, rows[start : start + _ROW_BLOCK])))
-        kinds = [set(map(type, column)) for column in columns]
-        if any(issubclass(kind, (dict, list)) for kind in set().union(*kinds)):
-            return None
-        lines += map(template.__mod__, zip(*map(_column_text, columns, kinds)))
-    return lines
-
-
-def _json(obj, pad: str = "\n") -> str:
-    """JSON text indented by 2, except that a dict or list holding no dict
-    or list is written on one line (a suite row, say)."""
+def _json(obj, tables: list, pad: str = "\n") -> str:
+    """JSON text indented by 2, except that a dict or list holding no dict,
+    list or Table takes one line.  A non-empty Table is a NUL, which the
+    encoder never writes; ``_emit`` writes its lines, added to ``tables``."""
+    if isinstance(obj, Table):
+        if not len(obj):
+            return "[]"
+        tables.append(_table_lines(obj, pad))
+        return "\0"
     is_dict = isinstance(obj, dict)
     items = obj.values() if is_dict else obj
-    if not isinstance(obj, (dict, list)) or not any(isinstance(v, (dict, list)) for v in items):
+    if not isinstance(obj, (dict, list)) or not any(isinstance(v, (dict, list, Table)) for v in items):
         return _one_line(obj)
     inner = pad + "  "
     if is_dict:
-        parts = [f"{_one_line(k)}: {_json(v, inner)}" for k, v in obj.items()]
+        parts = [f"{_one_line(k)}: {_json(v, tables, inner)}" for k, v in obj.items()]
     else:
-        parts = _flat_rows(obj) or [_json(v, inner) for v in obj]
+        parts = [_json(v, tables, inner) for v in obj]
     brackets = "{}" if is_dict else "[]"
     return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
 
-def _emit(report: dict, out: str | None, fmt: str, csv_rows=None) -> None:
-    """Write the report; a NaN or inf in it is a ValueError that names its
-    key, raised before anything is written."""
-    if fmt == "json":
-        try:
-            text = _json(report) + "\n"
-        except ValueError:  # the encoder refuses NaN and inf
-            _refuse_non_finite(report)
-            raise
-    else:
-        _refuse_non_finite(report)
-        buf = io.StringIO()
-        if csv_rows is not None:
-            writer = csv.DictWriter(buf, fieldnames=CSV_COLUMNS, lineterminator="\n")
-            writer.writeheader()
-            writer.writerows(csv_rows)
-        else:
-            writer = csv.writer(buf, lineterminator="\n")
-            writer.writerow(["key", "value"])
-            writer.writerows(_flatten(report))
-        text = buf.getvalue()
-    if out:
-        with open(out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-
-
-def _refuse_non_finite(report: dict) -> None:
-    for key, value in _flatten(report):
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ValueError(f"{key} is {value}; a report holds finite numbers only")
+def _emit(report: dict, out: str | None, fmt: str, rows: Table | None = None) -> None:
+    """Write the report, in CSV its ``rows`` if given; a NaN or inf in it is
+    a ValueError that names its key, raised before anything is written."""
+    tables = []
+    try:  # the JSON text refuses a NaN or inf, so this checks either format
+        head, *tails = (_json(report, tables) + "\n").split("\0")
+    except ValueError:
+        for key, value in _flatten(report):
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{key} is {value}; a report holds finite numbers only")
+        raise
+    sink = open(out, "w", encoding="utf-8", newline="") if out else contextlib.nullcontext(sys.stdout)
+    with sink as fh:
+        if fmt == "json":
+            fh.write(head)
+            for lines, tail in zip(tables, tails):
+                fh.writelines(lines)
+                fh.write(tail)
+        else:  # the rows table, or else a key,value line per value
+            writer = csv.writer(fh, lineterminator="\n")
+            writer.writerow(["key", "value"] if rows is None else rows.columns)
+            writer.writerows(_flatten(report) if rows is None else zip(*rows.columns.values()))
 
 
 def _flatten(obj, prefix=""):
-    if isinstance(obj, dict):
-        for k, v in obj.items():
-            yield from _flatten(v, f"{prefix}{k}." if prefix else f"{k}.")
-    elif isinstance(obj, list):
-        for i, v in enumerate(obj):
-            yield from _flatten(v, f"{prefix}{i}.")
+    """(dotted key, value) of each value; a table's keys count its records."""
+    if isinstance(obj, (dict, list)):
+        for k, v in obj.items() if isinstance(obj, dict) else enumerate(obj):
+            yield from _flatten(v, f"{prefix}{k}.")
+    elif isinstance(obj, Table):
+        for i, record in enumerate(zip(*obj.columns.values())):
+            yield from ((f"{prefix}{i}.{name}", v) for name, v in zip(obj.columns, record))
     else:
         yield prefix.rstrip("."), obj
 
@@ -235,7 +226,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (cfg) -> (result, passed, csv_rows).
+# Subcommand handlers: (cfg) -> (result, passed, the rows a CSV report holds or None).
 
 
 def _cmd_verify_identity(cfg):
@@ -294,8 +285,7 @@ def _cmd_suite(cfg):
     report = run_inequality_suite(
         cfg["family"], specs, trials=cfg["trials"], seed=cfg["seed"], grid_n=cfg["grid"]
     )
-    result = report.to_json()
-    return result, report.violations == 0, result["rows"]
+    return report.to_json(), report.violations == 0, report.rows
 
 
 def _cmd_tournament(cfg):
@@ -437,11 +427,11 @@ def run(argv: list[str]) -> int:
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)
-        result, passed, csv_rows = handler(cfg)
+        result, passed, rows = handler(cfg)
         cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
         report = {"command": args.command, "version": __version__, "config": cfg,
                   "result": result, "passed": passed}
-        _emit(report, cfg["out"], cfg["format"], csv_rows=csv_rows)
+        _emit(report, cfg["out"], cfg["format"], rows)
     except (ValueError, ConvergenceError) as exc:  # UsageError, ParseError, DomainError, ...
         what = "bad expression: " if isinstance(exc, ParseError) else ""
         print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)

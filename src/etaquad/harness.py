@@ -10,12 +10,12 @@ generator, and a draw is ``Generator.uniform`` bit for bit, so a seed
 reproduces a campaign exactly and extending the trial count only appends trials.
 
 A family is one expression template with named parameters.  A campaign
-draws every trial first, then evaluates the trials of each family
-together: one parse of the template, one oracle pass over all their
-segments, one jet grid of |f'''| along all their paths, and per bound one
-array of bounds and one gate.  Every step is elementwise or sums each
-segment on its own, so a trial's row has the same bits alone as in any
-batch.  ``tournament`` uses the same evaluator with a batch of one, and
+draws every trial first, then evaluates each family's trials in blocks of
+``TRIAL_BLOCK``: one oracle pass, one jet grid of |f'''| along the paths,
+and per bound one array of bounds and one gate, whose arrays become the
+rows' columns.  Every step is elementwise or sums each segment on its
+own, so a trial's row has the same bits alone as in any batch.
+``tournament`` uses the same evaluator with a batch of one, and
 ``sharpness_search`` with one batch per sweep of its ascent.
 """
 
@@ -31,7 +31,7 @@ import numpy as np
 from . import simpson
 from .bounds import THEOREM_ORDER, BoundSpec, DerivativeData, bound, scalar_pow
 from .expr import Expression, parse
-from .identity import PathSegment, corrected_trapezoid
+from .identity import PathSegment, Table, corrected_trapezoid
 from .invex import CHORD_TOL, DEFAULT_GRID, DifferenceMap, EtaMap, HypothesisReport
 from .invex import chord_slack, path_grid
 
@@ -50,21 +50,7 @@ __all__ = [
 RATIO_SLACK = 1e-9   # ratio > 1 + this counts as a violation
 LHS_TOL = 1e-11      # absolute tolerance of the remainder's quadrature
 ZERO_LHS_TOL = 1e-10  # |remainder| under this with a zero bound is a clean 0/0
-
-CSV_COLUMNS = (
-    "trial",
-    "family",
-    "a",
-    "b",
-    "h",
-    "theorem",
-    "q",
-    "lhs",
-    "bound",
-    "ratio",
-    "hypothesis_pass",
-)
-
+TRIAL_BLOCK = 4096  # trials evaluated at once; the jet grid of a block dominates the peak memory
 
 @dataclass(frozen=True)
 class Family:
@@ -165,7 +151,8 @@ class Instance:
 
 @dataclass
 class CampaignReport:
-    """Campaign totals, the per-bound table and the rows, dicts keyed by CSV_COLUMNS."""
+    """Campaign totals, the per-bound table and the rows, a Table with one
+    record per trial and spec."""
 
     trials: int
     hypothesis_passed: int
@@ -173,7 +160,7 @@ class CampaignReport:
     max_ratio: float
     argmax: dict | None
     table: list[dict]
-    rows: list[dict] = field(repr=False)
+    rows: Table = field(repr=False)
 
     def to_json(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -224,18 +211,19 @@ def _evaluate(f, params: dict, a, b, h, specs, grid_n: int):
         key = (spec.hypothesis, q)
         if key not in gates:
             fb, fa = (column(scalar_pow(e, q)) for e in (data.b3, data.a3))
-            slack = chord_slack(d3 ** q, fb, fa, t, spec.hypothesis == "prequasiinvex")
+            with np.errstate(over="ignore", invalid="ignore"):  # an overflow to inf fails the gate
+                slack = chord_slack(d3 ** q, fb, fa, t, spec.hypothesis == "prequasiinvex")
             gates[key] = np.max(slack, axis=1) <= CHORD_TOL
         out.append((bnd, _safe_ratio(lhs_abs, bnd), gates[key]))
     return lhs, out
 
 
-def _tally(gated: list[dict]) -> dict:
+def _tally(ratio: np.ndarray, gated: np.ndarray) -> dict:
     """Gate passes, violations and the largest ratio among gated rows."""
     return {
-        "hypothesis_passed": len(gated),
-        "violations": sum(r["ratio"] > 1.0 + RATIO_SLACK for r in gated),
-        "max_ratio": max([0.0] + [r["ratio"] for r in gated]),
+        "hypothesis_passed": int(np.count_nonzero(gated)),
+        "violations": int(np.count_nonzero(gated & (ratio > 1.0 + RATIO_SLACK))),
+        "max_ratio": float(np.max(ratio, where=gated & (ratio > 0.0), initial=0.0)),
     }
 
 
@@ -259,9 +247,9 @@ def run_inequality_suite(
     ``family`` is a Family, a FAMILIES key, or "mixed".  Difference-map
     segments a = b + h are used throughout, so the path endpoints are the
     bound endpoints.  Every trial is drawn before any is evaluated, and
-    the trials of each family are evaluated as one batch shared across
-    specs.  The argmax is the first gated row with the largest positive
-    ratio.
+    the trials of each family are evaluated in batches of TRIAL_BLOCK
+    shared across specs, whose arrays fill the rows' columns.  The argmax
+    is the first gated row with the largest positive ratio.
     """
     if trials < 0:
         raise ValueError("trials must be nonnegative")
@@ -276,34 +264,37 @@ def run_inequality_suite(
         drawn.append((fam, fam.sample(rng)))
         groups.setdefault(fam, []).append(trial)
 
-    rows_of: list[list[dict]] = [[] for _ in range(trials)]
+    seg = np.empty((4, trials))  # a, b, h and lhs per trial
+    bnd, ratio = np.empty((2, trials, len(specs)))  # per trial and spec
+    ok = np.empty((trials, len(specs)), dtype=bool)
     for fam, idx in groups.items():
-        batch = np.array([drawn[i][1] for i in idx])
-        a, b, h = _segments(batch)
         f = parse(fam.template, fam.names)
-        lhs, results = _evaluate(f, fam.bind(batch), a, b, h, specs, grid_n)
-        a, b, h, lhs = (col.tolist() for col in (a, b, h, lhs))
-        results = [tuple(col.tolist() for col in res) for res in results]
-        for j, i in enumerate(idx):
-            rows_of[i] = [
-                dict(zip(CSV_COLUMNS, (i, fam.name, a[j], b[j], h[j], s.theorem, s.q,
-                                       lhs[j], bnd[j], ratio[j], ok[j])))
-                for s, (bnd, ratio, ok) in zip(specs, results)
-            ]
-    rows = [row for trial_rows in rows_of for row in trial_rows]
+        for start in range(0, len(idx), TRIAL_BLOCK):
+            block = idx[start : start + TRIAL_BLOCK]
+            batch = np.array([drawn[i][1] for i in block])
+            seg[:3, block] = _segments(batch)
+            seg[3, block], results = _evaluate(f, fam.bind(batch), *seg[:3, block], specs, grid_n)
+            bnd[block], ratio[block], ok[block] = (np.column_stack(c) for c in zip(*results))
 
-    gated = [r for r in rows if r["hypothesis_pass"]]
-    table = []
-    for k, s in enumerate(specs):  # spec k owns every len(specs)-th row from row k
-        own = [r for r in rows[k :: len(specs)] if r["hypothesis_pass"]]
-        table.append({"theorem": s.theorem, "q": s.q, **_tally(own)})
-    peak = max((r for r in gated if r["ratio"] > 0.0), key=lambda r: r["ratio"], default=None)
+    a, b, h, lhs = np.repeat(seg, len(specs), axis=1).tolist()  # a trial's values on each of its rows
+    rows = Table({
+        "trial": np.arange(trials).repeat(len(specs)).tolist(),
+        "family": [fam.name for fam, _ in drawn for _ in specs],
+        "a": a, "b": b, "h": h,
+        "theorem": [s.theorem for s in specs] * trials, "q": [s.q for s in specs] * trials,
+        "lhs": lhs, "bound": bnd.ravel().tolist(), "ratio": ratio.ravel().tolist(),
+        "hypothesis_pass": ok.ravel().tolist(),
+    })
+    table = [{"theorem": s.theorem, "q": s.q, **_tally(r, g)} for s, r, g in zip(specs, ratio.T, ok.T)]
+    totals = _tally(ratio, ok)
     argmax = None
-    if peak is not None:
-        fam, draw = drawn[peak["trial"]]
-        argmax = {"trial": peak["trial"], "family": peak["family"], "f": fam.source(draw)}
-        argmax.update((k, peak[k]) for k in CSV_COLUMNS[2:-1])
-    return CampaignReport(trials=len(rows), **_tally(gated), argmax=argmax, table=table, rows=rows)
+    if totals["max_ratio"] > 0.0:
+        k = int(np.argmax(ok & (ratio == totals["max_ratio"])))  # the first such gated row
+        trial = k // len(specs)
+        fam, draw = drawn[trial]
+        argmax = {"trial": trial, "family": fam.name, "f": fam.source(draw)}
+        argmax.update((name, column[k]) for name, column in list(rows.columns.items())[2:-1])
+    return CampaignReport(trials=len(rows), **totals, argmax=argmax, table=table, rows=rows)
 
 
 def tournament(instance: Instance, q_grid: list[float], grid_n: int = DEFAULT_GRID) -> list[dict]:

@@ -23,6 +23,7 @@ from . import simpson
 from .invex import EtaMap
 
 __all__ = [
+    "Table",
     "kernel_weight",
     "PathSegment",
     "IdentityReport",
@@ -33,6 +34,17 @@ __all__ = [
 
 ABS_TOL = 1e-10  # absolute part of the identity comparison
 REL_TOL = 1e-9  # relative part of the identity comparison
+
+
+@dataclass
+class Table:
+    """Records as columns: each field name maps, in order, to a list of plain
+    Python values, one per record; len() is the record count."""
+
+    columns: dict[str, list]
+
+    def __len__(self) -> int:
+        return len(next(iter(self.columns.values())))
 
 
 def kernel_weight(t):

@@ -28,7 +28,7 @@ import numpy as np
 
 from . import simpson
 from .expr import DomainError
-from .identity import PathSegment
+from .identity import PathSegment, Table
 
 __all__ = [
     "MODES",
@@ -68,13 +68,12 @@ class CertifiedResult:
         return len(self.left)
 
     def to_json(self) -> dict:
-        columns = (getattr(self, name).tolist() for name in PARTITION_COLUMNS)
         return {
             "value": self.value,
             "certificate": self.certificate,
             "mode": self.mode,
             "n": self.n,
-            "partition": [dict(zip(PARTITION_COLUMNS, piece)) for piece in zip(*columns)],
+            "partition": Table({name: getattr(self, name).tolist() for name in PARTITION_COLUMNS}),
         }
 
 

@@ -26,6 +26,7 @@ from etaquad import (
     moment_c2,
     parse,
 )
+from etaquad.bounds import scalar_pow
 
 
 def quad01(fn):
@@ -465,3 +466,13 @@ def test_c21_is_t21_at_q1_to_the_bit():
         for k in range(0, 200, 7):
             d = DerivativeData(float(a3[k]), float(b3[k]))
             assert bound(BoundSpec("C2.1", q), float(h[k]), d).value.hex() == t21[k].hex()
+
+
+def test_overflowing_power_is_inf_and_the_rest_keep_their_bits():
+    # 1e207 is a finite |f'''| whose square Python's pow refuses to return.
+    for base, exponent, big in (([1e207, -1.1, -1e207], 2, math.inf), ([1e207, -1.1, -1e207], 3, -math.inf),
+                                ([1e207, 1.1, 1e207], 2.5, math.inf)):
+        got = scalar_pow(np.array(base), exponent)
+        assert got[0] == math.inf and got[2] == big
+        assert got[1].hex() == (base[1] ** exponent).hex()
+    assert bound(BoundSpec("T2.1", 2.0), 1.0, DerivativeData(1e207, 1.0)).value == math.inf

@@ -1,7 +1,9 @@
 """End-to-end CLI behaviour: flags, config files, formats, exit codes."""
 
 import collections
+import contextlib
 import importlib.metadata
+import io
 import json
 import math
 import shlex
@@ -16,7 +18,7 @@ import pytest
 
 import etaquad
 from etaquad.cli import DEFAULT_TOLERANCES, _emit, run
-from etaquad.harness import CSV_COLUMNS
+from etaquad.identity import Table
 
 
 def invoke(capsys, *argv):
@@ -375,6 +377,22 @@ def test_non_finite_report_is_refused_by_name(tmp_path, capsys, fmt):
     assert err == ("etaquad tournament: result.rows.0.ratio_winner is inf; "
                    "a report holds finite numbers only\n")
     assert not out.exists()
+    out.write_text("kept")
+    assert invoke(capsys, *ZERO_BOUNDS, "--format", fmt, "--out", str(out)) == (2, "", err)
+    assert out.read_text() == "kept"
+
+
+# |f'''(1)| of exp(460*x) is about 1e207: finite, but its square overflows.
+@pytest.mark.parametrize("argv, key", [
+    (("bound", "--theorem", "T2.1", "--q", "2"), "result.value"),
+    (("tournament",), "result.rows.1.bounds.T2.1"),
+], ids=["bound", "tournament"])
+def test_overflowing_power_is_refused_by_name(capsys, argv, key):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = invoke(capsys, argv[0], "--f", "exp(460*x)", "--a", "1", "--b", "0", *argv[1:])
+    assert (code, out) == (2, "")
+    assert err == f"etaquad {argv[0]}: {key} is inf; a report holds finite numbers only\n"
 
 
 def test_integrate_oracle_failure_is_reported(capsys):
@@ -410,6 +428,9 @@ def test_overflow_prints_no_numpy_warning(capsys, argv, message):
 
 
 # --- suite ---------------------------------------------------------------------
+
+# The fields of a suite row, in order: the CSV header and each JSON row's keys.
+CSV_COLUMNS = ("trial", "family", "a", "b", "h", "theorem", "q", "lhs", "bound", "ratio", "hypothesis_pass")
 
 
 def test_suite_defaults_and_reproducibility(tmp_path, capsys):
@@ -697,7 +718,12 @@ def _report_and_text(monkeypatch, capsys, argv):
 
 
 def _assert_plain_json(obj, path="report"):
-    if type(obj) is dict:
+    if type(obj) is Table:
+        assert len({len(column) for column in obj.columns.values()}) == 1, path
+        for name, column in obj.columns.items():
+            assert type(column) is list, path
+            _assert_plain_json(column, f"{path}.{name}")
+    elif type(obj) is dict:
         for k, v in obj.items():
             assert type(k) is str, path
             _assert_plain_json(v, f"{path}.{k}")
@@ -723,7 +749,7 @@ def test_json_report_layout(monkeypatch, capsys, argv):
     # Only plain Python values reach the writer: no numpy scalar or array, no tuple.
     _assert_plain_json(report)
     parsed = json.loads(out)
-    assert parsed == json.loads(json.dumps(report, indent=2, ensure_ascii=False, allow_nan=False))
+    assert parsed == json.loads(json.dumps(report, ensure_ascii=False, allow_nan=False, default=_records))
     lines = out.splitlines()
     assert len(lines) == _line_count(parsed)
     assert all((len(line) - len(line.lstrip(" "))) % 2 == 0 for line in lines)
@@ -754,9 +780,21 @@ def test_csv_report_shape(capsys, argv):
     assert (lines[0], len(lines)) == CSV_SHAPE[argv[0]]
 
 
+def _records(table: Table) -> list[dict]:
+    """A Table's records, as its JSON text lists them."""
+    return [dict(zip(table.columns, values)) for values in zip(*table.columns.values())]
+
+
+def _written(obj) -> str:
+    """obj's JSON text as ``_emit`` writes it, without the final newline."""
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit(obj, None, "json")
+    return out.getvalue()[:-1]
+
+
 def test_json_writer_puts_flat_containers_on_one_line():
     report = {"a": [1, 2.5], "b": {"c": [], "d": {"e": None}}, "f": [{"g": "é"}, [True]], "h": 0}
-    assert etaquad.cli._json(report) == (
+    assert _written(report) == (
         '{\n'
         '  "a": [1, 2.5],\n'
         '  "b": {\n'
@@ -770,12 +808,15 @@ def test_json_writer_puts_flat_containers_on_one_line():
         '  "h": 0\n'
         '}'
     )
-    assert etaquad.cli._json([]) == "[]"
+    assert _written([]) == "[]"
+    empty = Table({"x": []})
+    assert _written(empty) == "[]"
+    assert _written({"rows": empty}) == '{\n  "rows": []\n}'
 
 
 def _row_by_row_json(obj, pad="\n"):
     """The writer's layout with every list written item by item: the
-    reference for the column-by-column path."""
+    reference for the column-by-column path of a Table."""
     one_line = etaquad.cli._one_line
     items = obj.values() if isinstance(obj, dict) else obj
     if not isinstance(obj, (dict, list)) or not any(isinstance(v, (dict, list)) for v in items):
@@ -787,12 +828,22 @@ def _row_by_row_json(obj, pad="\n"):
     return "[" + inner + ("," + inner).join(_row_by_row_json(v, inner) for v in obj) + pad + "]"
 
 
-_SHARED = 0.1 + 0.2  # one float object in several rows, as a trial's a, b, h and lhs are
+def _as_table(rows: list) -> Table | None:
+    """rows as a Table when they are flat dicts with one order of str keys."""
+    keys = tuple(rows[0]) if isinstance(rows[0], dict) else ()
+    if not keys or not all(isinstance(k, str) for k in keys) or not all(
+        isinstance(r, dict) and tuple(r) == keys and not any(isinstance(v, (dict, list)) for v in r.values())
+        for r in rows
+    ):
+        return None
+    return Table({k: [r[k] for r in rows] for k in keys})
+
+
 _FLAT_ROWS = [
-    {"trial": 2**53 + 1, "x": -0.0, "y": True, "s": "é\u2028", "100%": None, 'say "%s"': _SHARED},
-    {"trial": -(2**70), "x": 0.0, "y": False, "s": 'a"b\\c\n\t\x01', "100%": None, 'say "%s"': _SHARED},
+    {"trial": 2**53 + 1, "x": -0.0, "y": True, "s": "é\u2028", "100%": None, 'say "%s"': 0.1 + 0.2},
+    {"trial": -(2**70), "x": 0.0, "y": False, "s": 'a"b\\c\n\t\x01', "100%": None, 'say "%s"': 0.1 + 0.2},
     {"trial": 0, "x": 5e-324, "y": True, "s": "", "100%": None, 'say "%s"': 1e16},
-    {"trial": 7, "x": 1e308, "y": False, "s": "%(x)s %%", "100%": None, 'say "%s"': _SHARED},
+    {"trial": 7, "x": 1e308, "y": False, "s": "%(x)s %%", "100%": None, 'say "%s"': 0.1 + 0.2},
 ]
 
 
@@ -805,10 +856,10 @@ _FLAT_ROWS = [
         # Mixed columns.
         [{"x": 1, "y": "a"}, {"x": 1.5, "y": None}, {"x": True, "y": 2}, {"x": False, "y": 2.0}],
         [{"t": (1, 2.5)}, {"t": ()}],
-        # Not flat or not one key order: written row by row.
+        # Not flat or not one key order: no Table, a list written row by row.
         [{"x": 1, "y": [1, 2]}, {"x": 2, "y": []}],
         [{"x": {"z": 1}}, {"x": {"z": 2}}],
-        [{"x": 1}, {"x": 2}, {"x": 3}, {"x": [4]}],  # nested only past the first block of 3
+        [{"x": 1}, {"x": 2}, {"x": 3}, {"x": [4]}],  # nested only in the last row
         [{"x": 1, "y": 2}, {"y": 3, "x": 4}],
         [{"x": 1}, {"x": 2, "y": 3}],
         [{"x": 1}, [1]],
@@ -817,26 +868,57 @@ _FLAT_ROWS = [
         [collections.OrderedDict(x=1), {"x": 2}],
     ],
 )
-@pytest.mark.parametrize("block", [3, 4096])
-def test_json_writer_writes_rows_as_row_by_row(monkeypatch, rows, block):
-    monkeypatch.setattr(etaquad.cli, "_ROW_BLOCK", block)
+@pytest.mark.parametrize("n", [3, 4096])
+def test_json_writer_writes_rows_as_row_by_row(rows, n):
+    # The rows repeated to at least n records: a short table and a long one.
+    rows = rows * -(-n // len(rows))
     for obj in (rows, {"rows": rows, "n": len(rows)}, [rows]):
-        assert etaquad.cli._json(obj) == _row_by_row_json(obj)
-    if rows is _FLAT_ROWS:
-        assert etaquad.cli._json(rows) == "[\n  " + ",\n  ".join(map(etaquad.cli._one_line, rows)) + "\n]"
-        assert json.loads(etaquad.cli._json(rows)) == rows
+        assert _written(obj) == _row_by_row_json(obj)
+    table = _as_table(rows)
+    if table is None:
+        return
+    assert _records(table) == rows
+    for obj, reference in ((table, rows), ({"rows": table, "n": len(rows)}, {"rows": rows, "n": len(rows)}),
+                           ([table], [rows])):
+        assert _written(obj) == _row_by_row_json(reference)
+    assert _written(table) == "[\n  " + ",\n  ".join(map(etaquad.cli._one_line, rows)) + "\n]"
+    assert json.loads(_written(table)) == json.loads(json.dumps(rows))
+
+
+def _suite_rows(column: str, value: float) -> Table:
+    """Three suite records; record 1 holds value in column."""
+    values = ("exp", -1.5, 0.25, -1.75, "T2.1", 2.0, 1e-3, 2e-3, 0.5, True)
+    rows = Table(dict(zip(CSV_COLUMNS, ([0, 1, 2], *([v] * 3 for v in values)))))
+    rows.columns[column][1] = value
+    return rows
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv"])
-@pytest.mark.parametrize("column, value", [("ratio", math.inf), ("lhs", math.nan), ("a", -math.inf)])
+@pytest.mark.parametrize("column, value", [
+    ("ratio", math.inf), ("lhs", math.nan), ("a", -math.inf),
+    ("b", math.nan), ("h", math.inf), ("q", math.inf), ("bound", -math.inf),
+])
 def test_non_finite_suite_row_is_refused_by_name(tmp_path, fmt, column, value):
-    values = ("exp", -1.5, 0.25, -1.75, "T2.1", 2.0, 1e-3, 2e-3, 0.5, True)
-    rows = [dict(zip(CSV_COLUMNS, (trial, *values))) for trial in range(3)]
-    rows[1][column] = value
+    rows = _suite_rows(column, value)
     out = tmp_path / "report"
-    with pytest.raises(ValueError, match=rf"^result\.rows\.1\.{column} is {value}; "):
-        _emit({"result": {"rows": rows}}, str(out), fmt, csv_rows=rows)
-    assert not out.exists()
+    for _ in range(2):  # no file is made, and a file already there is kept
+        with pytest.raises(ValueError, match=rf"^result\.rows\.1\.{column} is {value}; "):
+            _emit({"result": {"trials": 3, "rows": rows}, "passed": True}, str(out), fmt, rows)
+        assert not out.exists() or out.read_text() == "kept"
+        out.write_text("kept")
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("column", ["left", "right", "local_value", "local_bound"])
+def test_non_finite_partition_piece_is_refused_by_name(tmp_path, fmt, column):
+    partition = Table({"left": [0.0, 0.5], "right": [0.5, 1.0], "local_value": [0.25, 0.5],
+                       "local_bound": [1e-3, 2e-3]})
+    partition.columns[column][1] = math.nan
+    out = tmp_path / "report"
+    out.write_text("kept")
+    with pytest.raises(ValueError, match=rf"^result\.partition\.1\.{column} is nan; "):
+        _emit({"result": {"n": 2, "partition": partition}}, str(out), fmt)
+    assert out.read_text() == "kept"
 
 
 def test_config_file_errors(tmp_path, capsys):

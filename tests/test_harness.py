@@ -1,6 +1,7 @@
 """Campaign machinery: families, suites, tournaments, sharpness search."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -60,8 +61,21 @@ def test_rounding_noise_remainder_reads_as_zero():
         assert ratio[1] == abs(lhs[1]) / bnd[1] > 0.0  # a true remainder keeps its ratio
     rep = run_inequality_suite("exp", SIX, 2000, 0)
     assert rep.violations == 0
-    assert [r["ratio"] for r in rep.rows if r["trial"] == 1556] == [0.0] * 6
-    assert [r["lhs"] for r in rep.rows if r["trial"] == 1556] == [-(2.0 ** -52)] * 6
+    rows, own = rep.rows.columns, slice(1556 * len(SIX), 1557 * len(SIX))
+    assert rows["trial"][own] == [1556] * 6
+    assert rows["ratio"][own] == [0.0] * 6
+    assert rows["lhs"][own] == [-(2.0 ** -52)] * 6
+
+
+def test_overflowing_power_fails_the_gate():
+    # |f'''(1)| is about 1e207: finite, but its square overflows.
+    f = parse("exp(460*x)")
+    specs = [BoundSpec("T2.1", 2.0), BoundSpec("T2.1", 1.0)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, [(bnd, ratio, ok), (bnd_q1, _, ok_q1)] = _evaluate(f, {}, 1.0, 0.0, 1.0, specs, DEFAULT_GRID)
+    assert bnd[0] == math.inf and ratio[0] == 0.0 and not ok[0]
+    assert math.isfinite(bnd_q1[0]) and ok_q1[0]
 
 
 def test_h_clamp():
@@ -138,7 +152,7 @@ def test_poly2_suite_all_zero():
     assert rep.violations == 0
     assert rep.max_ratio == 0.0
     assert rep.argmax is None
-    assert all(r["ratio"] == 0.0 and r["bound"] == 0.0 for r in rep.rows)
+    assert all(v == 0.0 for v in rep.rows.columns["ratio"] + rep.rows.columns["bound"])
 
 
 def test_exp_suite_gates_always_pass():
@@ -158,13 +172,13 @@ def test_suite_determinism_and_prefix():
     assert r1.rows == r2.rows
     assert r1.to_json() == r2.to_json()
     r3 = run_inequality_suite("poly6", SIX, trials=40, seed=7)
-    assert r3.rows[: len(r1.rows)] == r1.rows
+    assert _head(r3.rows, len(r1.rows)) == r1.rows.columns
     assert r3.max_ratio >= r1.max_ratio
     # A trial's row has the same bits alone as inside a 2000-trial batch
     # (repr tells -0.0 from 0.0 and shows every bit of a float).
     big = run_inequality_suite("mixed", SIX, trials=2000, seed=7)
     alone = run_inequality_suite("mixed", SIX, trials=1, seed=7)
-    assert repr(big.rows[: len(SIX)]) == repr(alone.rows)
+    assert repr(_head(big.rows, len(SIX))) == repr(alone.rows.columns)
     rng = np.random.Generator(np.random.Philox(7))
     for trial in range(2000):
         fam = _pick("mixed", rng)
@@ -174,12 +188,29 @@ def test_suite_determinism_and_prefix():
             lhs, results = _evaluate(
                 parse(fam.template, fam.names), fam.bind(batch), *_segments(batch), SIX, 65
             )
-            rows = big.rows[trial * len(SIX) : (trial + 1) * len(SIX)]
-            assert {r["family"] for r in rows} == {fam.name}
-            for row, (bnd, ratio, ok) in zip(rows, results):
-                assert repr(tuple(row[k] for k in ("lhs", "bound", "ratio", "hypothesis_pass"))) == repr(
+            rows = {k: v[trial * len(SIX) : (trial + 1) * len(SIX)] for k, v in big.rows.columns.items()}
+            assert set(rows["family"]) == {fam.name}
+            for j, (bnd, ratio, ok) in enumerate(results):
+                assert repr(tuple(rows[k][j] for k in ("lhs", "bound", "ratio", "hypothesis_pass"))) == repr(
                     (float(lhs[0]), float(bnd[0]), float(ratio[0]), bool(ok[0]))
                 )
+
+
+def _head(rows, n: int) -> dict:
+    """The columns of a Table's first n records."""
+    return {k: v[:n] for k, v in rows.columns.items()}
+
+
+def test_trial_blocks_leave_the_report_unchanged(monkeypatch):
+    # Each family of this mixed suite has more than 7 trials, so blocks of
+    # 7 split every family batch; the report keeps every bit.
+    whole = run_inequality_suite("mixed", SIX, trials=60, seed=3)
+    calls = []
+    monkeypatch.setattr(harness, "_evaluate", lambda *args: calls.append(1) or _evaluate(*args))
+    monkeypatch.setattr(harness, "TRIAL_BLOCK", 7)
+    blocks = run_inequality_suite("mixed", SIX, trials=60, seed=3)
+    assert len(calls) >= 60 // 7
+    assert repr(blocks.to_json()) == repr(whole.to_json())
 
 
 # A degree-13 polynomial whose |f'''|^2 is preinvex along [0, 1] while
@@ -198,11 +229,11 @@ def test_c21_is_gated_on_the_q1_hypothesis_at_every_q():
     fam = Family("witness", f"c*({C21_WITNESS})", ("c",), (1.0, 0.0, 1.0), (1.0, 0.0, 1.0))
     specs = [BoundSpec("C2.1", 2.0), BoundSpec("C2.1", 1.0), BoundSpec("T2.1", 2.0)]
     rep = run_inequality_suite(fam, specs, trials=1, seed=0).to_json()
-    c21_q2, c21_q1, t21 = rep["rows"]
-    assert (c21_q2["a"], c21_q2["b"], c21_q2["h"]) == (1.0, 0.0, 1.0)
-    assert c21_q2["ratio"] == pytest.approx(1.2456, abs=1e-4)
-    assert not c21_q2["hypothesis_pass"] and not c21_q1["hypothesis_pass"]
-    assert t21["hypothesis_pass"] and t21["ratio"] == pytest.approx(0.881, abs=1e-3)
+    rows = rep["rows"].columns  # records C2.1 at q = 2, C2.1 at q = 1, T2.1
+    assert (rows["a"], rows["b"], rows["h"]) == ([1.0] * 3, [0.0] * 3, [1.0] * 3)
+    assert rows["ratio"][0] == pytest.approx(1.2456, abs=1e-4)
+    assert rows["hypothesis_pass"] == [False, False, True]
+    assert rows["ratio"][2] == pytest.approx(0.881, abs=1e-3)
     assert rep["violations"] == 0
     assert (rep["argmax"]["theorem"], rep["argmax"]["q"]) == ("T2.1", 2.0)
 
@@ -235,7 +266,7 @@ def test_repeated_spec_object_keeps_its_own_table_entry():
 
 def test_mixed_family_draws_from_pool():
     rep = run_inequality_suite("mixed", SIX[:1], trials=30, seed=2)
-    names = {r["family"] for r in rep.rows}
+    names = set(rep.rows.columns["family"])
     assert names <= {"poly6", "exp", "trig"}
     assert len(names) > 1
 
@@ -267,9 +298,9 @@ def test_ratios_never_violate_on_passing_gates():
     for fam, seed in (("poly6", 19), ("mono4", 23), ("exp", 29)):
         rep = run_inequality_suite(fam, SIX, trials=50, seed=seed)
         assert rep.violations == 0
-        for row in rep.rows:
-            if row["hypothesis_pass"]:
-                assert row["ratio"] <= 1.0 + 1e-9
+        for ratio, ok in zip(rep.rows.columns["ratio"], rep.rows.columns["hypothesis_pass"]):
+            if ok:
+                assert ratio <= 1.0 + 1e-9
 
 
 # --- tournament ------------------------------------------------------------
