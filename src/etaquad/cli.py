@@ -1,12 +1,13 @@
 """Command-line front end.
 
 Every subcommand writes a machine-readable report (JSON by default, CSV on
-request) that embeds the fully resolved configuration and the package
-version, so a report file alone is enough to rerun the computation.  Key
-order in JSON output is fixed; the same argv and seed produce byte-
-identical files.  JSON is indented by 2, except that a dict or list
-holding no dict or list takes one line, as does each record of a
-``Table`` (suite rows, a partition), written column by column.
+request) that embeds the package version and, as ``config``, each option
+of its command as resolved, so a report file alone is enough to rerun the
+computation.  Key order in JSON output is fixed; the same argv and seed
+produce byte-identical files.  JSON is indented by 2, except that a dict
+or list holding no dict or list takes one line, as does each record of a
+``Table`` (suite rows, a partition), written column by column.  A CSV
+report is a suite's rows, or else one key,value line per value.
 
 Each option is declared once, in ``OPTIONS``, and each command once, in
 ``COMMANDS``.  A key's value is its flag if given, else its value in the
@@ -31,25 +32,12 @@ import sys
 from . import __version__
 from .bounds import SELECTORS, THEOREM_ORDER, BoundSpec, DerivativeData, bound
 from .expr import ParseError, parse
-from .harness import (
-    FAMILIES,
-    RATIO_SLACK,
-    Instance,
-    check_hh_classical,
-    run_inequality_suite,
-    tournament,
-)
+from .harness import FAMILIES, Instance, check_hh_classical, run_inequality_suite, tournament
 from .identity import ABS_TOL, PathSegment, Table, verify_identity
 from .invex import CHORD_TOL, DEFAULT_GRID, ETA_SPELLINGS, SET_TOL, Domain, EtaMapError, eta_from_json
 from .invex import check_invex_set, check_preinvex, check_prequasiinvex
 from .quadrature import MODES, BudgetError, integrate_certified, true_error
-from .simpson import TOL, ConvergenceError
-
-DEFAULT_TOLERANCES = {
-    "identity_abs": ABS_TOL,
-    "ratio_slack": RATIO_SLACK,
-    "oracle": TOL,
-}
+from .simpson import ConvergenceError
 
 
 class UsageError(ValueError):
@@ -126,9 +114,10 @@ def _json(obj, tables: list, pad: str = "\n") -> str:
     return brackets[0] + inner + ("," + inner).join(parts) + pad + brackets[1]
 
 
-def _emit(report: dict, out: str | None, fmt: str, rows: Table | None = None) -> None:
-    """Write the report, in CSV its ``rows`` if given; a NaN or inf in it is
-    a ValueError that names its key, raised before anything is written."""
+def _emit(report: dict, out: str | None, fmt: str) -> None:
+    """Write the report, in CSV its ``result.rows`` if that is a Table; a
+    NaN or inf in it is a ValueError that names its key, raised before
+    anything is written."""
     tables = []
     try:  # the JSON text refuses a NaN or inf, so this checks either format
         head, *tails = (_json(report, tables) + "\n").split("\0")
@@ -144,10 +133,15 @@ def _emit(report: dict, out: str | None, fmt: str, rows: Table | None = None) ->
             for lines, tail in zip(tables, tails):
                 fh.writelines(lines)
                 fh.write(tail)
-        else:  # the rows table, or else a key,value line per value
+        else:  # a suite's rows table, or else a key,value line per value
             writer = csv.writer(fh, lineterminator="\n")
-            writer.writerow(["key", "value"] if rows is None else rows.columns)
-            writer.writerows(_flatten(report) if rows is None else zip(*rows.columns.values()))
+            rows = report.get("result", {}).get("rows")
+            if isinstance(rows, Table):
+                writer.writerow(rows.columns)
+                writer.writerows(zip(*rows.columns.values()))
+            else:
+                writer.writerow(["key", "value"])
+                writer.writerows(_flatten(report))
 
 
 def _flatten(obj, prefix=""):
@@ -211,7 +205,8 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
             raise UsageError(f"cannot read config file: {exc}")
         if not isinstance(file_cfg, dict):
             raise UsageError("config file must hold a JSON object")
-    # A report's config also records the fixed tolerances; it reruns as is.
+    # Older reports also hold a "tolerances" block in their config; it is
+    # skipped, so that every report's config reruns its command.
     unknown = [k for k in file_cfg if k not in defaults and k != "tolerances"]
     if unknown:
         raise UsageError(f"unknown config key(s): {', '.join(map(repr, unknown))}")
@@ -226,7 +221,7 @@ def _resolve(args: argparse.Namespace, defaults: dict) -> dict:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand handlers: (cfg) -> (result, passed, the rows a CSV report holds or None).
+# Subcommand handlers: (cfg) -> (result, passed).
 
 
 def _cmd_verify_identity(cfg):
@@ -235,7 +230,7 @@ def _cmd_verify_identity(cfg):
     result = rep.to_json()
     result["eta_ab"] = seg.h
     result["eta_ba"] = eta_ba
-    return result, rep.passed, None
+    return result, rep.passed
 
 
 def _cmd_bound(cfg):
@@ -244,7 +239,7 @@ def _cmd_bound(cfg):
     data = DerivativeData.from_function(f, cfg["a"], cfg["b"])
     result = bound(spec, seg.h, data, tight=cfg["tight"]).to_json()
     result.update(h=seg.h, eta_ba=eta_ba, a3=data.a3, b3=data.b3)
-    return result, True, None
+    return result, True
 
 
 def _cmd_check_hypothesis(cfg):
@@ -260,7 +255,7 @@ def _cmd_check_hypothesis(cfg):
         f = parse(cfg["function"])
         check = check_preinvex if cfg["check"] == "preinvex" else check_prequasiinvex
         rep = check(f, emap, dom, grid_n=cfg["grid"], tol=cfg["tol"])
-    return rep.to_json(), rep.passed, None
+    return rep.to_json(), rep.passed
 
 
 def _cmd_integrate(cfg):
@@ -276,8 +271,8 @@ def _cmd_integrate(cfg):
             result["true_error"] = true_error(f, result_obj)
     except (BudgetError, ConvergenceError) as exc:
         print(f"etaquad integrate: {exc}", file=sys.stderr)
-        return {"error": str(exc)}, False, None
-    return result, True, None
+        return {"error": str(exc)}, False
+    return result, True
 
 
 def _cmd_suite(cfg):
@@ -285,7 +280,7 @@ def _cmd_suite(cfg):
     report = run_inequality_suite(
         cfg["family"], specs, trials=cfg["trials"], seed=cfg["seed"], grid_n=cfg["grid"]
     )
-    return report.to_json(), report.violations == 0, report.rows
+    return report.to_json(), report.violations == 0
 
 
 def _cmd_tournament(cfg):
@@ -298,13 +293,13 @@ def _cmd_tournament(cfg):
     if not q_grid:
         raise UsageError("q grid is empty")
     rows = tournament(Instance(f, emap, cfg["a"], cfg["b"]), q_grid, grid_n=cfg["grid"])
-    return {"rows": rows}, True, None
+    return {"rows": rows}, True
 
 
 def _cmd_hh_classical(cfg):
     f = parse(cfg["function"])
     rep = check_hh_classical(f, cfg["a"], cfg["b"], tol=cfg["tol"])
-    return rep.to_json(), rep.passed, None
+    return rep.to_json(), rep.passed
 
 
 # ---------------------------------------------------------------------------
@@ -427,11 +422,10 @@ def run(argv: list[str]) -> int:
     handler, _, defaults = COMMANDS[args.command]
     try:
         cfg = _resolve(args, defaults)
-        result, passed, rows = handler(cfg)
-        cfg["tolerances"] = dict(DEFAULT_TOLERANCES)
+        result, passed = handler(cfg)
         report = {"command": args.command, "version": __version__, "config": cfg,
                   "result": result, "passed": passed}
-        _emit(report, cfg["out"], cfg["format"], rows)
+        _emit(report, cfg["out"], cfg["format"])
     except (ValueError, ConvergenceError) as exc:  # UsageError, ParseError, DomainError, ...
         what = "bad expression: " if isinstance(exc, ParseError) else ""
         print(f"etaquad {args.command}: {what}{exc}", file=sys.stderr)

@@ -152,7 +152,8 @@ class Instance:
 @dataclass
 class CampaignReport:
     """Campaign totals, the per-bound table and the rows, a Table with one
-    record per trial and spec."""
+    record per trial and spec.  ``trials`` counts trials; the other totals
+    count rows."""
 
     trials: int
     hypothesis_passed: int
@@ -294,7 +295,7 @@ def run_inequality_suite(
         fam, draw = drawn[trial]
         argmax = {"trial": trial, "family": fam.name, "f": fam.source(draw)}
         argmax.update((name, column[k]) for name, column in list(rows.columns.items())[2:-1])
-    return CampaignReport(trials=len(rows), **totals, argmax=argmax, table=table, rows=rows)
+    return CampaignReport(trials=trials, **totals, argmax=argmax, table=table, rows=rows)
 
 
 def tournament(instance: Instance, q_grid: list[float], grid_n: int = DEFAULT_GRID) -> list[dict]:
@@ -344,19 +345,18 @@ def sharpness_search(
     family,
     iterations: int = 300,
     seed: int = 0,
-    grid_n: int = DEFAULT_GRID,
 ) -> tuple[Instance | None, float]:
     """Steepest-ascent search for the largest hypothesis-passing ratio.
 
     Each random restart climbs with a shrinking step schedule.  A sweep
     scores every ± step × span move of one parameter, clipped to the box,
-    in one evaluator batch and takes the best improving move.  A failed
-    gate, a degenerate candidate or a refused batch scores -inf.  Exactly
-    ``iterations`` candidates are scored.  Returns the best instance and
-    its ratio, or (None, -inf) if none passed; no optimality is claimed.
+    in one evaluator batch, on a path grid of DEFAULT_GRID points, and
+    takes the best improving move.  A failed gate, a degenerate candidate
+    or a refused batch scores -inf.  Exactly ``iterations`` candidates are
+    scored.  Returns the best instance and its ratio, or (None, -inf) if
+    none passed; no optimality is claimed.
     """
     fam = family if isinstance(family, Family) else FAMILIES[family]
-    path_grid(grid_n)  # scores() below turns every ValueError into -inf
     rng = np.random.Generator(np.random.Philox(seed))
     # Row 2i moves parameter i up by its span, row 2i + 1 down.
     moves = np.kron(np.diag(fam._box[1]), [[1.0], [-1.0]])
@@ -365,7 +365,9 @@ def sharpness_search(
     def scores(batch):
         """Each draw's ratio, -inf where the gate fails or the ratio is not finite."""
         try:
-            _, [(_, ratio, ok)] = _evaluate(f, fam.bind(batch), *_segments(batch), [spec], grid_n)
+            _, [(_, ratio, ok)] = _evaluate(
+                f, fam.bind(batch), *_segments(batch), [spec], DEFAULT_GRID
+            )
         except (ValueError, simpson.ConvergenceError):
             return np.full(len(batch), -math.inf)
         return np.where(ok & np.isfinite(ratio), ratio, -math.inf)

@@ -2,6 +2,7 @@
 
 import collections
 import contextlib
+import csv
 import importlib.metadata
 import io
 import json
@@ -17,7 +18,7 @@ import numpy as np
 import pytest
 
 import etaquad
-from etaquad.cli import DEFAULT_TOLERANCES, _emit, run
+from etaquad.cli import COMMANDS, _emit, run
 from etaquad.identity import Table
 
 
@@ -42,7 +43,6 @@ def test_report_key_order_and_envelope(capsys):
     assert list(report) == ["command", "version", "config", "result", "passed"]
     assert report["command"] == "verify-identity"
     assert report["passed"] is True
-    assert report["config"]["tolerances"] == DEFAULT_TOLERANCES
     assert report["config"]["format"] == "json"
     assert report["config"]["eta"] == {"kind": "difference"}
     assert out.endswith("\n")
@@ -702,6 +702,47 @@ def test_report_config_reruns_the_command(tmp_path, capsys, argv):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(json.loads(out)["config"]))
     assert invoke(capsys, argv[0], "--config", str(path)) == (code, out, "")
+    # Older reports hold a tolerances block in their config; such a config
+    # reruns its command all the same.
+    config = json.loads(out)["config"]
+    config["tolerances"] = {"identity_abs": 1e-10, "ratio_slack": 1e-9, "oracle": 1e-12}
+    path.write_text(json.dumps(config))
+    assert invoke(capsys, argv[0], "--config", str(path)) == (code, out, "")
+
+
+@pytest.mark.parametrize("argv", EVERY_COMMAND, ids=lambda argv: argv[0])
+def test_report_config_holds_the_commands_keys(capsys, argv):
+    _, out, _ = invoke(capsys, *argv)
+    assert list(json.loads(out)["config"]) == list(COMMANDS[argv[0]][2])
+
+
+@pytest.mark.parametrize("trials", ["0", "1", "7"])
+def test_suite_csv_is_its_rows_table(capsys, trials):
+    argv = ("suite", "--family", "mixed", "--trials", trials, "--seed", "5", "--grid", "9")
+    _, text, _ = invoke(capsys, *argv)
+    rows = json.loads(text)["result"]["rows"]
+    _, out, _ = invoke(capsys, *argv, "--format", "csv")
+    expected = io.StringIO()
+    writer = csv.writer(expected, lineterminator="\n")
+    writer.writerow(CSV_COLUMNS)
+    writer.writerows([row[k] for k in CSV_COLUMNS] for row in rows)
+    assert out == expected.getvalue()
+    assert len(out.splitlines()) == 1 + int(trials) * 6
+
+
+@pytest.mark.parametrize("family", ["mixed", "exp"])
+def test_suite_trials_counts_trials(capsys, family):
+    code, report, _ = invoke_json(capsys, "suite", "--family", family, "--trials", "9", "--grid", "9")
+    res = report["result"]
+    assert (code, res["trials"], len(res["rows"])) == (0, 9, 9 * 6)
+    assert res["hypothesis_passed"] == sum(row["hypothesis_pass"] for row in res["rows"])
+
+
+def test_emit_without_a_result():
+    assert _written({"value": 1.5}) == '{"value": 1.5}'
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        _emit({"value": 1.5}, None, "csv")
+    assert out.getvalue() == "key,value\nvalue,1.5\n"
 
 
 def _report_and_text(monkeypatch, capsys, argv):
@@ -763,13 +804,13 @@ def test_json_report_layout(monkeypatch, capsys, argv):
 
 # Header and line count of each command's CSV report.
 CSV_SHAPE = {
-    "verify-identity": ("key,value", 22),
-    "bound": ("key,value", 28),
-    "check-hypothesis": ("key,value", 25),
-    "integrate": ("key,value", 278),
+    "verify-identity": ("key,value", 19),
+    "bound": ("key,value", 25),
+    "check-hypothesis": ("key,value", 22),
+    "integrate": ("key,value", 275),
     "suite": (",".join(CSV_COLUMNS), 25),
-    "tournament": ("key,value", 51),
-    "hh-classical": ("key,value", 17),
+    "tournament": ("key,value", 48),
+    "hh-classical": ("key,value", 14),
 }
 
 
@@ -903,7 +944,7 @@ def test_non_finite_suite_row_is_refused_by_name(tmp_path, fmt, column, value):
     out = tmp_path / "report"
     for _ in range(2):  # no file is made, and a file already there is kept
         with pytest.raises(ValueError, match=rf"^result\.rows\.1\.{column} is {value}; "):
-            _emit({"result": {"trials": 3, "rows": rows}, "passed": True}, str(out), fmt, rows)
+            _emit({"result": {"trials": 3, "rows": rows}, "passed": True}, str(out), fmt)
         assert not out.exists() or out.read_text() == "kept"
         out.write_text("kept")
 
