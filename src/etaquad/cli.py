@@ -243,11 +243,15 @@ def _cmd_bound(cfg):
 
 
 def _cmd_check_hypothesis(cfg):
+    invex_set = cfg["check"] == "invex-set"
+    unused = "function" if invex_set else "sample"  # a report's config names what ran
+    if cfg[unused] is not None:
+        raise UsageError(f"{OPTIONS[unused][0]} does not apply to --check {cfg['check']}")
     emap = _eta_obj(cfg)
     dom = Domain(*cfg["dom"])
     if cfg["tol"] is None:
-        cfg["tol"] = SET_TOL if cfg["check"] == "invex-set" else CHORD_TOL
-    if cfg["check"] == "invex-set":
+        cfg["tol"] = SET_TOL if invex_set else CHORD_TOL
+    if invex_set:
         sample = Domain(*cfg["sample"]) if cfg["sample"] else None
         rep = check_invex_set(emap, dom, grid_n=cfg["grid"], sample=sample, tol=cfg["tol"])
     else:

@@ -88,7 +88,9 @@ class Jet3:
 
     Entries are floats for scalar evaluation points, ndarrays for
     vectorised ones and Intervals for enclosures.  Arithmetic follows the
-    usual sum, Leibniz and quotient rules truncated at order three.
+    usual sum, Leibniz and quotient rules truncated at order three, and
+    combines a jet with a jet only: a tape run lifts each constant and
+    parameter into one (``constant``) before it meets a jet.
     """
 
     d0: object
@@ -104,24 +106,17 @@ class Jet3:
     def variable(x):
         return Jet3(x, 1.0, 0.0, 0.0)
 
-    def __add__(self, other):
-        o = _lift(other)
+    def __add__(self, o):
         return Jet3(self.d0 + o.d0, self.d1 + o.d1, self.d2 + o.d2, self.d3 + o.d3)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        o = _lift(other)
+    def __sub__(self, o):
         return Jet3(self.d0 - o.d0, self.d1 - o.d1, self.d2 - o.d2, self.d3 - o.d3)
-
-    def __rsub__(self, other):
-        return _lift(other).__sub__(self)
 
     def __neg__(self):
         return Jet3(-self.d0, -self.d1, -self.d2, -self.d3)
 
     def __mul__(self, other):
-        f, g = self, _lift(other)
+        f, g = self, other
         return Jet3(
             f.d0 * g.d0,
             f.d1 * g.d0 + f.d0 * g.d1,
@@ -129,10 +124,8 @@ class Jet3:
             f.d3 * g.d0 + 3.0 * f.d2 * g.d1 + 3.0 * f.d1 * g.d2 + f.d0 * g.d3,
         )
 
-    __rmul__ = __mul__
-
     def __truediv__(self, other):
-        f, g = self, _lift(other)
+        f, g = self, other
         edge = _edge(g.d0, g.d0 == 0.0, "division by zero")
         # Solve f = q*g order by order.
         q0 = f.d0 / g.d0
@@ -140,13 +133,6 @@ class Jet3:
         q2 = (f.d2 - q0 * g.d2 - 2.0 * q1 * g.d1) / g.d0
         q3 = (f.d3 - q0 * g.d3 - 3.0 * q1 * g.d2 - 3.0 * q2 * g.d1) / g.d0
         return _unbounded(Jet3(q0, q1, q2, q3), edge)
-
-    def __rtruediv__(self, other):
-        return _lift(other).__truediv__(self)
-
-
-def _lift(v):
-    return v if isinstance(v, Jet3) else Jet3.constant(v)
 
 
 def _chain(u: Jet3, f0, f1, f2, f3) -> Jet3:

@@ -4,10 +4,11 @@ Each trial draws a function from a named family and a segment, computes
 the exact remainder |integral - Q| with adaptive quadrature, gates every
 bound on the hypothesis it actually needs (the chord or max inequality
 for |f'''|^q, or |f'''| for C2.1, sampled along the path), and records
-the ratio remainder / bound.  A violation is a hypothesis-passing trial
-with ratio above 1 + 1e-9.  All randomness flows from one counter-based
-generator, and a draw is ``Generator.uniform`` bit for bit, so a seed
-reproduces a campaign exactly and extending the trial count only appends trials.
+the ratio remainder / bound.  A violation is a hypothesis-passing row
+(one trial and one bound) with ratio above 1 + 1e-9.  All randomness
+flows from one counter-based generator, and a draw is
+``Generator.uniform`` bit for bit, so a seed reproduces a campaign exactly
+and extending the trial count only appends trials.
 
 A family is one expression template with named parameters.  A campaign
 draws every trial first, then evaluates each family's trials in blocks of
@@ -396,8 +397,10 @@ def sharpness_search(
     return Instance(f, DifferenceMap(), a=b + h, b=b, spec=spec), best_ratio
 
 
-def check_hh_classical(f, a: float, b: float, tol: float = CHORD_TOL) -> HypothesisReport:
-    """Midpoint / mean / endpoint-average chain for f on [a, b].
+def check_hh_classical(
+    f: Expression, a: float, b: float, tol: float = CHORD_TOL
+) -> HypothesisReport:
+    """Midpoint / mean / endpoint-average chain for the expression f on [a, b].
 
     For convex f the chain f((a+b)/2) <= mean <= (f(a)+f(b))/2 holds; this
     evaluates both comparisons with the adaptive oracle's mean, at its
@@ -407,10 +410,9 @@ def check_hh_classical(f, a: float, b: float, tol: float = CHORD_TOL) -> Hypothe
     """
     if not a < b:
         raise ValueError("needs a < b")
-    fn = f.value if hasattr(f, "value") else f
-    fa, mid, fb = map(float, fn(np.array([a, 0.5 * (a + b), b])))
+    fa, mid, fb = map(float, f.value(np.array([a, 0.5 * (a + b), b])))
     oracle_tol = simpson.TOL * max(1.0, abs(fa) + abs(fb)) * (b - a)
-    integral, _ = simpson.integrate(fn, a, b, tol=oracle_tol)
+    integral, _ = simpson.integrate(f.value, a, b, tol=oracle_tol)
     mean = integral / (b - a)
     right = 0.5 * (fa + fb)
     scale = max(1.0, abs(mid), abs(mean), abs(right))

@@ -7,7 +7,8 @@ preinvex when f along the path lies under the chord (1-t)f(u) + t*f(v),
 and prequasiinvex when it lies under max(f(u), f(v)).
 
 The checks here sample (u, v, t) on uniform grids and report the worst
-normalised slack together with a witness triple when the property fails.
+normalised slack together with a witness triple when the property fails;
+the chord checks take f as a parsed ``Expression``.
 They sweep the grid in blocks of at most ``expr.EVAL_CHUNK`` points, each
 a slice of one u row; only the (u, v) directions grow with the grid.
 Grid sampling refutes but never proves; a pass means "no counterexample on
@@ -300,10 +301,10 @@ def check_invex_set(
     return _verdict(slack, u, t, tol)
 
 
-def _sample(f, x: np.ndarray) -> np.ndarray:
-    """f (an Expression, whose values have x's shape, or a plain callable)
-    at x; DomainError names the first x whose value is not finite."""
-    y = f.value(x) if hasattr(f, "value") else np.broadcast_to(f(x), x.shape)
+def _sample(f: expr.Expression, x: np.ndarray) -> np.ndarray:
+    """f's values at x, of x's shape; DomainError names the first x whose
+    value is not finite."""
+    y = f.value(x)
     if not np.isfinite(y).all():
         bad = ~np.isfinite(y)
         raise expr.DomainError(f"f is {y[bad][0]} at x = {float(x[bad][0])!r}")

@@ -11,31 +11,31 @@ when the rule was Simpson's, because the benchmark wraps
 The integrand must accept ndarray input (every function in this package
 does).  One driver runs level by level over every pending interval of
 every segment, so each refinement level is one vectorised pass of the
-integrand however many segments there are.  The call is made in slices of
-``expr.EVAL_CHUNK`` points, as expressions slice their own runs, since the
-integrand may be any callable (a kernel, or a gather of per-segment
-parameters); the nodes are built a block of intervals at a time.  Each
-interval carries the index of its segment.  A segment starts as
-``2**MIN_DEPTH`` equal pieces, and every interval pending at a level has
-been split as often as every other, so they share one acceptance
-threshold: tol at the whole segment, halved at each next level, which is
-tol*(width/total) to the bit.  An interval is also accepted when |K - G|
-is within ROUNDING*eps of its Kronrod sum of |f|, the rounding of K and
-G: that term shrinks with the width as the threshold does, so without it
-a tolerance below about eps*int|f| could never be met.  The accepted
-local errors of a segment so sum to at most tol plus about
-ROUNDING*eps*int|f|.  Each interval's sums over its nodes are one row
-reduction (``np.einsum``, never a BLAS product, whose blocking depends on
-the batch), and ``np.bincount`` adds each segment's accepted intervals in
-the order a run of that segment alone would, so its result does not
-depend on the other segments.
+integrand however many segments there are.  A level's intervals go in
+blocks of ``expr.EVAL_CHUNK // 15``, and a block's nodes are one call of
+the integrand (any callable: a kernel, or a gather of per-segment
+parameters), so no call within a level holds more than the EVAL_CHUNK
+points an expression runs at once.  Each interval carries the index of its
+segment.  A segment starts as ``2**MIN_DEPTH`` equal pieces, and every
+interval pending at a level has been split as often as every other, so
+they share one acceptance threshold: tol at the whole segment, halved at
+each next level, which is tol*(width/total) to the bit.  An interval is
+also accepted when |K - G| is within ROUNDING*eps of its Kronrod sum of
+|f|, the rounding of K and G: that term shrinks with the width as the
+threshold does, so without it a tolerance below about eps*int|f| could
+never be met.  The accepted local errors of a segment so sum to at most
+tol plus about ROUNDING*eps*int|f|.  Each interval's sums over its nodes
+are one row reduction (``np.einsum``, never a BLAS product, whose blocking
+depends on the batch), and ``np.bincount`` adds each segment's accepted
+intervals in the order a run of that segment alone would, so its result
+does not depend on the other segments.
 
-The 15 nodes are interior, so each segment's two ends are evaluated once
-before the first level: an endpoint singularity is refused, not missed.
-A non-finite value is never accepted, so it raises ConvergenceError at
-once, naming the segment when there are several, as do more than MAX_LIVE
-pending intervals over all segments and any interval still pending after
-MAX_DEPTH bisections.
+The 15 nodes are interior, so each segment's two ends are evaluated once,
+in one call for all segments, before the first level: an endpoint
+singularity is refused, not missed.  A non-finite value is never
+accepted, so it raises ConvergenceError at once, naming the segment when
+there are several, as do more than MAX_LIVE pending intervals over all
+segments and any interval still pending after MAX_DEPTH bisections.
 """
 
 from __future__ import annotations
@@ -168,18 +168,17 @@ def _rule(fn, seg, left, half, n_seg):
     """The Kronrod value, |Kronrod - Gauss| and rounding floor of every
     interval [left, left + 2*half].
 
-    Intervals go a block at a time, so only one block's nodes and values
-    are alive; ``_eval`` slices each block's nodes into calls of exactly
-    EVAL_CHUNK points, the slicing it also applies to the segments' ends.
-    A block of EVAL_CHUNK intervals is 15 such calls with no short one,
-    so an expression integrand runs whole slices, as in its own runs.
+    Intervals go a block of EVAL_CHUNK // NODES.size at a time, so a
+    block's nodes are one integrand call of at most EVAL_CHUNK points, and
+    only one block's nodes and values are alive.
     """
     centre = left + half
     kronrod = np.empty(seg.size)
     gauss = np.empty(seg.size)
     resabs = np.empty(seg.size)
-    for i in range(0, seg.size, EVAL_CHUNK):
-        block = slice(i, i + EVAL_CHUNK)
+    step = EVAL_CHUNK // NODES.size
+    for i in range(0, seg.size, step):
+        block = slice(i, i + step)
         x = (centre[block, None] + half[block, None] * NODES).ravel()
         f = _eval(fn, x, np.repeat(seg[block], NODES.size), n_seg).reshape(-1, NODES.size)
         # One reduction per row, with no BLAS: an interval's bits do not
@@ -196,10 +195,9 @@ def _where(seg: int, n_seg: int) -> str:
 
 
 def _eval(fn, points: np.ndarray, seg: np.ndarray, n_seg: int) -> np.ndarray:
-    values = np.empty(points.size)
-    for i in range(0, points.size, EVAL_CHUNK):
-        # Assignment also broadcasts an integrand that returns a scalar.
-        values[i : i + EVAL_CHUNK] = fn(points[i : i + EVAL_CHUNK], seg[i : i + EVAL_CHUNK])
+    """fn at the points, in one call (an integrand may return a scalar);
+    ConvergenceError names the first point whose value is not finite."""
+    values = np.broadcast_to(fn(points, seg), points.shape)
     finite = np.isfinite(values)
     if not finite.all():
         k = np.argmin(finite)

@@ -577,6 +577,27 @@ def test_check_hypothesis_takes_no_segment_endpoints():
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize(
+    "check,option,key,value",
+    [("preinvex", ("--sample", "0", "0.5"), "sample", [0.0, 0.5]),
+     ("prequasiinvex", ("--sample", "0", "0.5"), "sample", [0.0, 0.5]),
+     ("invex-set", ("--f", "x*x"), "function", "x*x")],
+)
+def test_check_hypothesis_refuses_an_option_its_check_ignores(
+    tmp_path, capsys, check, option, key, value
+):
+    # --sample is read by invex-set only, and --f by the chord checks only.
+    function = () if check == "invex-set" else ("--f", "x*x")
+    argv = ("check-hypothesis", "--check", check, *function, "--dom", "0", "1", "--grid", "5")
+    refusal = (2, "", f"etaquad check-hypothesis: {option[0]} does not apply to --check {check}\n")
+    assert invoke(capsys, *argv, *option) == refusal
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps({key: value}))
+    assert invoke(capsys, *argv, "--config", str(path)) == refusal
+    path.write_text(json.dumps({key: None}))  # as an ordinary report's config holds it
+    assert invoke(capsys, *argv, "--config", str(path))[0] == 0
+
+
 # --- tournament ------------------------------------------------------------------
 
 

@@ -407,10 +407,11 @@ def test_vectorised_jets_match_scalar():
 
 def test_jet3_algebra_helpers():
     a = Jet3.variable(2.0)
-    b = (a * a + 1.0) / a  # (x^2+1)/x at 2: 2.5, d1 = 1 - 1/x^2 = 0.75
+    one = Jet3.constant(1.0)
+    b = (a * a + one) / a  # (x^2+1)/x at 2: 2.5, d1 = 1 - 1/x^2 = 0.75
     assert b.d0 == pytest.approx(2.5)
     assert b.d1 == pytest.approx(0.75)
-    c = 1.0 - a
+    c = one - a
     assert (c.d0, c.d1) == (-1.0, -1.0)
     with pytest.raises(DomainError):
         a / Jet3.constant(0.0)

@@ -474,11 +474,6 @@ def test_hh_classical_needs_ordered_interval():
         check_hh_classical(parse("x"), 2.0, 1.0)
 
 
-def test_hh_classical_accepts_plain_callables():
-    rep = check_hh_classical(lambda x: np.exp(x), 0.0, 1.0)
-    assert rep.passed
-
-
 @pytest.mark.parametrize("grid_n", [0, 1])
 def test_path_grid_below_two_is_refused(grid_n):
     # One sample puts t = 0 in place of the endpoint t = 1.

@@ -174,9 +174,8 @@ def test_neg_abs_needs_the_sign_map():
     assert (fp - chord) / scale > 1e-9
 
 
-def test_plain_callable_accepted():
-    rep = check_preinvex(lambda u: u * u, DifferenceMap(), Domain(-1.0, 1.0), grid_n=9)
-    assert rep.passed
+# inf within about 6e-4 of x = c (exp of more than 709.8), finite 1e-3 away.
+SPIKE = "exp(0.001/((x-{c})*(x-{c})+0.000001))"
 
 
 @pytest.mark.parametrize("check", [check_preinvex, check_prequasiinvex])
@@ -184,9 +183,10 @@ def test_non_finite_sample_is_refused(check):
     # On the grid 0, 0.25, ..., 1, x = 0.5 is an endpoint sample and
     # x = 0.1875 only a path point (u = 0, v = 0.75, t = 0.25).
     with pytest.raises(DomainError, match=r"f is nan at x = 0\.5$"):
-        check(lambda u: np.where(u == 0.5, np.nan, u), DifferenceMap(), Domain(0.0, 1.0), grid_n=5)
+        check(parse(f"{SPIKE.format(c=0.5)} - {SPIKE.format(c=0.5)}"), DifferenceMap(),
+              Domain(0.0, 1.0), grid_n=5)
     with pytest.raises(DomainError, match=r"f is inf at x = 0\.1875$"):
-        check(lambda u: np.where(u == 0.1875, np.inf, u), DifferenceMap(), Domain(0.0, 1.0), grid_n=5)
+        check(parse(SPIKE.format(c=0.1875)), DifferenceMap(), Domain(0.0, 1.0), grid_n=5)
 
 
 def test_monotone_cubic_quasi_but_not_pre():
@@ -302,8 +302,8 @@ def _block_cases():
         (check_invex_set, (ScaledMap(3.0), Domain(0.0, 1.0)), grid),
         (check_invex_set, (ScaledMap(0.5), Domain(0.0, 1.0)), grid),
         (check_invex_set, (ScaledMap(1e308), Domain(-10.0, 10.0)), {"grid_n": 5}),
-        (check_preinvex, (lambda u: np.where(u == 0.1875, np.inf, u), DifferenceMap(),
-                          Domain(0.0, 1.0)), {"grid_n": 5}),
+        (check_preinvex, (parse(SPIKE.format(c=0.1875)), DifferenceMap(), Domain(0.0, 1.0)),
+         {"grid_n": 5}),
     ]
 
 

@@ -8,6 +8,10 @@ import pytest
 
 from etaquad import ConvergenceError, integrate, parse, simpson
 
+# The most points of one integrand call within a level: a block of
+# EVAL_CHUNK // 15 intervals, 8,190 nodes.
+BLOCK_POINTS = simpson.NODES.size * (simpson.EVAL_CHUNK // simpson.NODES.size)
+
 
 def test_polynomial():
     value, est = integrate(lambda x: x ** 4, 0.0, 1.0)
@@ -186,7 +190,7 @@ def test_integrand_is_called_in_slices_of_at_most_eval_chunk_points():
         return np.sin(40.0 * x)
 
     simpson.integrate_segments(fn, np.zeros(600), np.linspace(0.5, 10.0, 600), tol=1e-11)
-    assert max(sizes) == simpson.EVAL_CHUNK < sum(sizes)
+    assert max(sizes) == BLOCK_POINTS < sum(sizes)
 
 
 def test_segment_bits_do_not_depend_on_a_batch_sliced_at_eval_chunk():
@@ -223,7 +227,7 @@ def test_pole_is_refused_in_slices():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert max(sizes) == simpson.EVAL_CHUNK
+    assert max(sizes) == BLOCK_POINTS
     assert peak <= 16 * 2**20
 
 
